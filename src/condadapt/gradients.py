@@ -1,16 +1,34 @@
 """Closed-form gradients of the trace dependence objectives.
 
-The conditional objective L(X) = Tr(R_Zt S R_Xt S) depends on the feature
-matrix X through the Gaussian Gram K_X alone.  With R = I - ne B,
-B = (G + ne I)^{-1}, ne = n * eps, the chain is
+The conditional objective L(X) = Tr(R_Zt S R_Xt S), S = I - R_Y, with
+R = G (G + ne I)^{-1}, G = H K H and ne = n * eps (the NOCCO estimator of
+Fukumizu, Gretton, Sun & Schoelkopf 2008), depends on the feature matrix X
+through the Gaussian Gram K_X alone.
 
-    dL/dG_Xt = ne * B (S R_Zt S) B          (symmetric)
-    dL/dK_Xt = H (dL/dG_Xt) H               (centering is self-adjoint)
-    dL/dK_X  = dL/dK_Xt  *  K_Y             (elementwise)
-    dL/dX    = (4 / s2) * X (A - diag(A 1)),  A = dL/dK_X * K_X,
+The label and domain kernels see a sample only through its column of the
+stacked block (Y; Z), so they factor through the c distinct columns of
+that block, its cells: K = U M U^T with U the n x c cell indicator and M a
+c x c Gram over the cells.  The columns of H U sum to zero, so the largest
+cell is dropped: V = H U' over the other c - 1 cells, H K H = V M' V^T with
+the contrast M' = C^T M C, C = [I; -1^T], and W = V^T V is invertible.
+The push-through identity turns each normalization into a small solve,
 
-using dK_X[i,j]/dx_i = -(2/s2)(x_i - x_j) K_X[i,j].  Bandwidths are treated
-as constants of the step (stop-gradient through the mean-squared-distance
+    R = V A V^T,        A = M' (W M' + ne I)^{-1},
+    S R_Zt S = V Q V^T, Q = T A_Zt T^T,  T = I - A_Y W = ne (M'_Y W + ne I)^{-1}.
+
+The one n x n factorization left is that of G_Xt + ne I, solved against
+V's c - 1 columns: P = (G_Xt + ne I)^{-1} V.  The value and the chain to
+the features are then
+
+    L         = Tr(Q (W - ne V^T P))
+    dL/dK_Xt  = ne * (HP) Q (HP)^T              (symmetric)
+    dL/dK_X   = dL/dK_Xt * K_Y                  (elementwise)
+    dL/dX     = (4 / s2) * X (E - diag(E 1)),  E = dL/dK_X * K_X,
+
+using dK_X[i,j]/dx_i = -(2/s2)(x_i - x_j) K_X[i,j].  Hard labels give at
+most K (N+1) cells; soft pseudo-labels make each target column a cell of
+its own and run through the same code.  Bandwidths are treated as
+constants of the step (stop-gradient through the mean-squared-distance
 rule), so finite-difference checks must hold them fixed too.
 """
 
@@ -19,9 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConfigError, InputError, NumericalError
-from .kernels import KernelConfig, center, gram, pairwise_sq_dists
+from .kernels import KernelConfig, center, gram, is_constant_block, pairwise_sq_dists
 
 
 @dataclass(frozen=True)
@@ -54,41 +73,34 @@ class CondKernelConfig:
 
 
 def _label_config(m) -> KernelConfig | None:
-    m = np.asarray(m, dtype=float)
-    if m.ndim == 1:
-        m = m[None, :]
-    if m.shape[1] == 1 or np.all(m == m[:, :1]):
-        return None
-    return KernelConfig.from_data(m)
+    return None if is_constant_block(m) else KernelConfig.from_data(m)
 
 
-def _block_entries(m, cfg: KernelConfig | None) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.ndim == 1:
-        m = m[None, :]
+def _as_block(m, n: int, name: str) -> np.ndarray:
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    if m.ndim != 2 or m.shape[1] != n:
+        raise InputError(f"{name} block has shape {m.shape}, expected {n} columns")
+    if not np.all(np.isfinite(m)):
+        raise InputError(f"{name} block contains non-finite values")
+    return m
+
+
+def _cell_gram(cells: np.ndarray, cfg: KernelConfig | None) -> np.ndarray:
     if cfg is None:
-        return np.ones((m.shape[1], m.shape[1]))
-    return gram(m, cfg).entries
+        return np.ones((cells.shape[1], cells.shape[1]))
+    return gram(cells, cfg).entries
 
 
-def _spd_inverse(g: np.ndarray, ridge: float) -> np.ndarray:
-    import scipy.linalg
-
-    n = g.shape[0]
-    try:
-        factor = scipy.linalg.cho_factor(g + ridge * np.eye(n), lower=True,
-                                         check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"regularized solve failed: {exc}") from exc
-    b = scipy.linalg.cho_solve(factor, np.eye(n), check_finite=False)
-    return 0.5 * (b + b.T)
+def _contrast(m: np.ndarray, keep: np.ndarray, ref: int) -> np.ndarray:
+    """C^T M C: the cell Gram seen from the dropped cell ``ref``."""
+    return (m[np.ix_(keep, keep)] - m[keep, ref][:, None] - m[ref, keep][None, :]
+            + m[ref, ref])
 
 
-def _is_constant_block(m) -> bool:
-    m = np.asarray(m, dtype=float)
-    if m.ndim == 1:
-        m = m[None, :]
-    return m.shape[1] == 1 or bool(np.all(m == m[:, :1]))
+def _normalized_cells(m: np.ndarray, w: np.ndarray, ridge: float) -> np.ndarray:
+    """A with R = V A V^T: M (W M + ne I)^{-1} = (M W + ne I)^{-1} M, symmetric."""
+    a = np.linalg.solve(m @ w + ridge * np.eye(m.shape[0]), m)
+    return 0.5 * (a + a.T)
 
 
 def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
@@ -105,40 +117,58 @@ def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
     xre = np.asarray(xre, dtype=float)
     if xre.ndim != 2:
         raise InputError(f"expected a (d', n) feature matrix, got ndim={xre.ndim}")
+    if not np.all(np.isfinite(xre)):
+        raise InputError("feature matrix contains non-finite values")
     n = xre.shape[1]
-    for name, block in (("label", y), ("domain", z)):
-        b = np.asarray(block, dtype=float)
-        cols = b.shape[-1] if b.ndim else 0
-        if cols != n:
-            raise InputError(f"{name} block has {cols} columns, expected {n}")
-    if _is_constant_block(z):
+    y = _as_block(y, n, "label")
+    z = _as_block(z, n, "domain")
+    if is_constant_block(z):
         return 0.0, np.zeros_like(xre)
     if cfgs is None:
         cfgs = CondKernelConfig.resolve(xre, y, z)
+    if cfgs.y is None and cfgs.z is None:  # K_Zt = 1 centers to 0, so R_Zt = 0
+        return 0.0, np.zeros_like(xre)
 
     s2x = cfgs.x.bandwidth_sq
     kx = np.exp(-pairwise_sq_dists(xre) / s2x)
-    ky = _block_entries(y, cfgs.y)
-    kz = _block_entries(z, cfgs.z)
     if not np.all(np.isfinite(kx)):
         raise NumericalError("feature kernel matrix has non-finite entries")
 
+    cells, cell = np.unique(np.vstack([y, z]), axis=1, return_inverse=True)
+    cell = cell.ravel()
+    counts = np.bincount(cell).astype(float)
+    c = counts.shape[0]
+    my = _cell_gram(cells[:y.shape[0]], cfgs.y)
+    mzt = _cell_gram(cells[y.shape[0]:], cfgs.z) * my
+    kxt = kx * my[np.ix_(cell, cell)]
+
+    # Dropping a cell keeps (1/ne)-sized terms along the null vector of H U
+    # out of A and Q; dropping the largest keeps W best conditioned.
+    ref = int(counts.argmax())
+    keep = np.delete(np.arange(c), ref)
+    v = np.zeros((n, c))
+    v[np.arange(n), cell] = 1.0
+    v = v[:, keep] - counts[keep] / n
+    w = np.diag(counts[keep]) - np.outer(counts[keep], counts[keep]) / n
     ridge = n * epsilon
-    gxt = center(kx * ky)
-    bx = _spd_inverse(gxt, ridge)
-    rxt = np.eye(n) - ridge * bx
-    rzt = np.eye(n) - ridge * _spd_inverse(center(kz * ky), ridge)
-    ry = np.eye(n) - ridge * _spd_inverse(center(ky), ridge)
-    s = np.eye(n) - ry
+    q = _normalized_cells(_contrast(mzt, keep, ref), w, ridge)
+    if cfgs.y is not None:  # a constant K_Y centers to 0, so R_Y = 0 and S = I
+        t = ridge * np.linalg.inv(_contrast(my, keep, ref) @ w + ridge * np.eye(c - 1))
+        q = t @ q @ t.T
+        q = 0.5 * (q + q.T)
 
-    srzs = s @ rzt @ s
-    value = float(np.sum(rxt * srzs))
+    try:
+        factor = scipy.linalg.cho_factor(center(kxt) + ridge * np.eye(n),
+                                         lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(f"regularized solve failed: {exc}") from exc
+    p = scipy.linalg.cho_solve(factor, v, check_finite=False)
+    p -= p.mean(axis=0)  # H P equals P in exact arithmetic
+    value = float(np.sum(q * (w - ridge * (v.T @ p))))
 
-    dg = ridge * (bx @ srzs @ bx)
-    dg = 0.5 * (dg + dg.T)
-    dkx = center(dg) * ky
-    a = dkx * kx
-    grad = (4.0 / s2x) * (xre @ a - xre * a.sum(axis=1)[None, :])
+    dk = ridge * (p @ q @ p.T)
+    e = 0.5 * (dk + dk.T) * kxt
+    grad = (4.0 / s2x) * (xre @ e - xre * e.sum(axis=1)[None, :])
     if not np.all(np.isfinite(grad)):
         raise NumericalError("gradient assembly produced non-finite entries")
     return value, grad

@@ -131,14 +131,28 @@ def cross_sq_dists(a, b) -> np.ndarray:
     return d2
 
 
+def is_constant_block(m) -> bool:
+    """True when every column of m equals the first, compared exactly."""
+    m = _as_columns(m)
+    return bool(np.all(m == m[:, :1]))
+
+
 def mean_sq_dist_bandwidth(x) -> float:
-    """Mean of all n^2 pairwise squared distances, self-pairs included."""
+    """Mean of all n^2 pairwise squared distances, self-pairs included.
+
+    Computed in O(n d) as 2 * mean ||x_i - mean(x)||^2.  Identical columns
+    are detected exactly first: their rounded mean can differ from them, so
+    the closed form alone would return a tiny positive value.
+    """
     x = _as_columns(x)
     if x.shape[1] < 2:
         raise InputError("bandwidth fit needs at least 2 samples")
-    s2 = float(pairwise_sq_dists(x).mean())
-    if s2 <= 0.0:
+    if is_constant_block(x):
         raise DegenerateDataError("all samples identical: mean squared distance is zero")
+    dev = x - x.mean(axis=1, keepdims=True)
+    s2 = 2.0 * float(np.einsum("ij,ij->", dev, dev)) / x.shape[1]
+    if not s2 > 0.0:
+        raise DegenerateDataError("mean squared distance underflows to zero")
     return s2
 
 
@@ -155,9 +169,8 @@ def label_gram(m) -> GramMatrix:
     exact Gaussian limit for zero distances under any bandwidth.
     """
     m = _as_columns(m)
-    n = m.shape[1]
-    if n == 1 or np.all(m == m[:, :1]):
-        return GramMatrix(np.ones((n, n)))
+    if is_constant_block(m):
+        return GramMatrix(np.ones((m.shape[1], m.shape[1])))
     return gram(m, KernelConfig.from_data(m))
 
 

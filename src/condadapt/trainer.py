@@ -55,14 +55,16 @@ class TrainConfig:
     rep_dim: int = 512
 
     def __post_init__(self):
-        if self.beta1 < 0 or self.beta2 < 0:
-            raise ConfigError("loss weights must be non-negative")
-        if not self.epsilon > 0:
-            raise ConfigError("epsilon must be positive")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be non-negative and finite, got {value!r}")
+        for name in ("epsilon", "learning_rate"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         if self.pretrain_epochs < 0 or self.adapt_epochs < 0:
             raise ConfigError("epoch counts must be non-negative")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning rate must be positive")
         if min(self.hidden_units, self.rep_dim) < 1:
             raise ConfigError("layer sizes must be positive")
 
@@ -87,9 +89,13 @@ class AdaptationDataset:
         self.sources = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
                         for x, y in self.sources]
         self.target = np.asarray(self.target, dtype=float)
+        if not np.all(np.isfinite(self.target)):
+            raise InputError("target has non-finite values")
         d = self.target.shape[0]
         k = self.sources[0][1].shape[0]
         for i, (x, y) in enumerate(self.sources):
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+                raise InputError(f"source {i} has non-finite values")
             if x.shape[0] != d:
                 raise InputError(f"source {i} feature dim {x.shape[0]} != target dim {d}")
             if y.shape != (k, x.shape[1]):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from condadapt.errors import ConfigError, InputError
 from condadapt.gradients import (
@@ -78,6 +80,86 @@ def test_nonfinite_features_rejected_at_the_door():
     xre[0, 0] = np.nan
     with pytest.raises(InputError):
         cond_objective(xre, y, z, cfgs, 1e-3)
+
+
+def dense_cond_objective(xre, y, z, cfgs, epsilon):
+    """Dense n x n reference of the conditional value and feature gradient."""
+    n = xre.shape[1]
+    eye = np.eye(n)
+    ridge = n * epsilon
+
+    def center(k):  # H K H; exactly 0 for a constant K
+        return k - k.mean(axis=0) - k.mean(axis=1)[:, None] + k.mean()
+
+    def gauss(m, cfg):
+        if cfg is None:
+            return np.ones((n, n))
+        diff = m[:, :, None] - m[:, None, :]
+        return np.exp(-np.einsum("kij,kij->ij", diff, diff) / cfg.bandwidth_sq)
+
+    def ridge_solve(k, rhs):  # (H K H + n eps I)^{-1} rhs
+        return np.linalg.solve(center(k) + ridge * eye, rhs)
+
+    kx, ky, kz = gauss(xre, cfgs.x), gauss(y, cfgs.y), gauss(z, cfgs.z)
+    rzt = eye - ridge * ridge_solve(kz * ky, eye)
+    s = ridge * ridge_solve(ky, eye)  # I - R_Y
+    srzs = s @ rzt @ s
+    bx_srzs = ridge_solve(kx * ky, srzs)
+    value = np.trace(srzs - ridge * bx_srzs)
+    e = center(ridge * ridge_solve(kx * ky, bx_srzs.T)) * ky * kx
+    grad = (4.0 / cfgs.x.bandwidth_sq) * (xre @ e - xre * e.sum(axis=1))
+    return value, grad
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 10_000), classes=st.integers(1, 5),
+       domains=st.integers(2, 4), n=st.integers(2, 48),
+       epsilon=st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4]),
+       labels=st.sampled_from(["hard", "constant", "soft"]))
+def test_cell_factorization_matches_dense_oracle(seed, classes, domains, n,
+                                                 epsilon, labels):
+    # small n against up to 5 classes x 4 domains leaves empty classes and
+    # singleton (class, domain) cells
+    rng = np.random.default_rng(seed)
+    xre = rng.normal(size=(int(rng.integers(1, 6)), n))
+    if labels == "hard":
+        y = one_hot(rng.integers(0, classes, size=n), classes)
+    elif labels == "constant":
+        y = one_hot(np.full(n, classes - 1), classes)
+    else:
+        logits = rng.normal(size=(classes, n))
+        y = np.exp(logits) / np.exp(logits).sum(axis=0)
+    domain = rng.integers(0, domains, size=n)
+    domain[:2] = [0, 1]  # at least two domains present
+    z = one_hot(domain, domains)
+    if labels == "hard":
+        # with every class inside one domain the statistic is O(eps^2), below
+        # what the dense reference resolves; the next test covers that case
+        cls = y.argmax(axis=0)
+        assume(any(np.unique(domain[cls == k]).size > 1 for k in np.unique(cls)))
+    cfgs = CondKernelConfig.resolve(xre, y, z)
+
+    value, grad = cond_objective(xre, y, z, cfgs, epsilon)
+    ref_value, ref_grad = dense_cond_objective(xre, y, z, cfgs, epsilon)
+    tol = 1e-9 if labels == "soft" else 1e-11
+    assert abs(value - ref_value) <= tol * abs(ref_value)
+    assert np.max(np.abs(grad - ref_grad)) <= tol * np.max(np.abs(ref_grad))
+
+
+def test_domain_as_a_function_of_the_label_is_resolved():
+    # Z = Y: the value is O(eps^2) and the dense reference above is off by
+    # 5e-7 here; the expected numbers come from a 50-digit mpmath evaluation
+    # of the same dense formulas with the same bandwidths
+    xre = np.array([[0.3, -1.1, 0.8, 1.7], [-0.4, 0.9, 0.2, -1.3]])
+    y = one_hot([0, 1, 1, 0], 2)
+    value, grad = cond_objective(xre, y, y.copy(), None, 1e-4)
+    expected = np.array([
+        [2.4512158883835414e-12, 1.964910860435072e-12,
+         -2.1775197922114734e-12, -2.23860695660714e-12],
+        [-2.147837666422164e-12, -5.670584927778304e-13,
+         1.4801311206486876e-12, 1.234765038551307e-12]])
+    assert value == pytest.approx(5.3448637245882349e-8, rel=1e-12)
+    assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 # gradient correctness

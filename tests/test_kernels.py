@@ -92,6 +92,24 @@ def test_bandwidth_identical_columns_degenerate():
         mean_sq_dist_bandwidth(x)
 
 
+@settings(deadline=None)
+@given(seed=st.integers(0, 10_000), d=st.integers(1, 5), n=st.integers(2, 60),
+       scale=st.floats(1e-3, 1e3), offset=st.floats(-10.0, 10.0))
+def test_bandwidth_closed_form_matches_pairwise_mean(seed, d, n, scale, offset):
+    x = scale * (offset + random_features(seed, d=d, n=n))
+    diff = x[:, :, None] - x[:, None, :]
+    pairwise = np.einsum("kij,kij->ij", diff, diff).mean()
+    assert mean_sq_dist_bandwidth(x) == pytest.approx(pairwise, rel=1e-13)
+
+
+def test_bandwidth_identical_columns_degenerate_despite_rounded_mean():
+    # the mean of three 0.1s rounds away from 0.1, so x - mean(x) != 0
+    x = np.full((2, 3), 0.1)
+    assert np.any(x - x.mean(axis=1, keepdims=True) != 0.0)
+    with pytest.raises(DegenerateDataError):
+        mean_sq_dist_bandwidth(x)
+
+
 def test_bandwidth_single_sample_rejected():
     with pytest.raises(InputError):
         mean_sq_dist_bandwidth(np.zeros((3, 1)))

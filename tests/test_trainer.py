@@ -72,6 +72,26 @@ def test_config_rejects_invalid_values():
         quick_config(pretrain_epochs=-1)
 
 
+@pytest.mark.parametrize("field,value", [("beta1", float("nan")), ("beta2", float("inf")),
+                                         ("learning_rate", float("inf")),
+                                         ("epsilon", float("inf"))])
+def test_config_rejects_non_finite_values_by_name(field, value):
+    with pytest.raises(ConfigError, match=field):
+        quick_config(**{field: value})
+
+
+@pytest.mark.parametrize("where", ["source", "target"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_dataset_rejects_non_finite_values_by_name(where, value):
+    rng = np.random.default_rng(0)
+    xs = rng.normal(size=(2, 10))
+    ys = one_hot(rng.integers(0, 2, size=10), 2)
+    xt = rng.normal(size=(2, 5))
+    (xs if where == "source" else xt)[1, 3] = value
+    with pytest.raises(InputError, match=f"{where}.*non-finite"):
+        AdaptationDataset(sources=[(xs, ys)], target=xt)
+
+
 def test_dataset_validation():
     rng = np.random.default_rng(0)
     xs = rng.normal(size=(2, 10))
