@@ -103,6 +103,34 @@ def _normalized_cells(m: np.ndarray, w: np.ndarray, ridge: float) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def cell_terms(cell: np.ndarray, my: np.ndarray | None, mzt: np.ndarray,
+               ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V, W = V^T V and Q with S R_Zt S = V Q V^T, from the cell structure.
+
+    ``cell`` gives each sample's cell, numbered 0 .. c-1 with none empty;
+    ``my`` and ``mzt`` are the c x c label and extended-domain Grams over the
+    cells, ``my`` None for a constant label kernel (R_Y = 0, so S = I), and
+    ``ridge`` is n * eps.
+    """
+    n = cell.shape[0]
+    counts = np.bincount(cell).astype(float)
+    c = counts.shape[0]
+    # Dropping a cell keeps (1/ne)-sized terms along the null vector of H U
+    # out of A and Q; dropping the largest keeps W best conditioned.
+    ref = int(counts.argmax())
+    keep = np.delete(np.arange(c), ref)
+    v = np.zeros((n, c))
+    v[np.arange(n), cell] = 1.0
+    v = v[:, keep] - counts[keep] / n
+    w = np.diag(counts[keep]) - np.outer(counts[keep], counts[keep]) / n
+    q = _normalized_cells(_contrast(mzt, keep, ref), w, ridge)
+    if my is not None:
+        t = ridge * np.linalg.inv(_contrast(my, keep, ref) @ w + ridge * np.eye(c - 1))
+        q = t @ q @ t.T
+        q = 0.5 * (q + q.T)
+    return v, w, q
+
+
 def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
                    epsilon: float) -> tuple[float, np.ndarray]:
     """Value and feature gradient of the conditional dependence objective.
@@ -136,26 +164,11 @@ def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
 
     cells, cell = np.unique(np.vstack([y, z]), axis=1, return_inverse=True)
     cell = cell.ravel()
-    counts = np.bincount(cell).astype(float)
-    c = counts.shape[0]
     my = _cell_gram(cells[:y.shape[0]], cfgs.y)
     mzt = _cell_gram(cells[y.shape[0]:], cfgs.z) * my
     kxt = kx * my[np.ix_(cell, cell)]
-
-    # Dropping a cell keeps (1/ne)-sized terms along the null vector of H U
-    # out of A and Q; dropping the largest keeps W best conditioned.
-    ref = int(counts.argmax())
-    keep = np.delete(np.arange(c), ref)
-    v = np.zeros((n, c))
-    v[np.arange(n), cell] = 1.0
-    v = v[:, keep] - counts[keep] / n
-    w = np.diag(counts[keep]) - np.outer(counts[keep], counts[keep]) / n
     ridge = n * epsilon
-    q = _normalized_cells(_contrast(mzt, keep, ref), w, ridge)
-    if cfgs.y is not None:  # a constant K_Y centers to 0, so R_Y = 0 and S = I
-        t = ridge * np.linalg.inv(_contrast(my, keep, ref) @ w + ridge * np.eye(c - 1))
-        q = t @ q @ t.T
-        q = 0.5 * (q + q.T)
+    v, w, q = cell_terms(cell, None if cfgs.y is None else my, mzt, ridge)
 
     try:
         factor = scipy.linalg.cho_factor(center(kxt) + ridge * np.eye(n),

@@ -10,6 +10,18 @@ where R = G (G + n*eps*I)^{-1} is the normalized centered Gram and the
 extended blocks Xt = (X, Y), Zt = (Z, Y) use elementwise kernel products.
 Both are non-negative and shrink to zero under (conditional) independence as
 n grows with eps_n -> 0, eps_n^3 * n -> infinity.
+
+The conditional statistic goes through the cell algebra of
+``gradients.cell_terms``: samples whose rows of [K_Y | K_Zt] are equal share
+a cell, so S R_Zt S = V Q V^T with V the centred n x (c-1) cell indicator.
+With L the Cholesky factor of G_Xt + n*eps*I, the value is
+Tr(Q (W - n*eps*S^T S)), S = L^{-1} V.  A shuffle within the label classes
+fixes K_Y, K_Xt, W and Q and only permutes the rows of V, so the null
+replicates cost one batched triangular solve per block of them.  A
+shuffle that leaves K_Zt unchanged entry for entry (one that keeps every
+sample in its cell, say) is an exact tie, counted without being evaluated.
+The plain and per-class statistics keep their dense
+normalizations and conjugate R_Z by each permutation.
 """
 
 from __future__ import annotations
@@ -20,18 +32,26 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg
 
-from .errors import ConfigError, DegenerateDataError, InputError
+from .errors import ConfigError, DegenerateDataError, InputError, NumericalError
+from .gradients import cell_terms
 from .kernels import (
     GramMatrix,
     KernelConfig,
     center,
     cross_sq_dists,
     gram,
+    is_constant_block,
     label_gram,
     normalize,
     product_gram,
 )
+
+# Right-hand-side columns of one triangular solve in the conditional
+# permutation null.  A block holds as many replicates as fit (at least one),
+# so the workspace stays within n times this whatever the permutation count.
+_BLOCK_COLUMNS = 256
 
 
 class StatKind(Enum):
@@ -105,6 +125,29 @@ def nocco(kx: GramMatrix, kz: GramMatrix, epsilon: float, *,
     return DependenceReport(stat, StatKind.NOCCO, n, float(epsilon), pvalue)
 
 
+def _gram_cells(ky: np.ndarray, kzt: np.ndarray) -> np.ndarray:
+    """Cell of each sample, numbered by first appearance: two samples share a
+    cell exactly when their rows of [K_Y | K_Zt] are equal."""
+    ids: dict[bytes, int] = {}
+    return np.array([ids.setdefault(a.tobytes() + b.tobytes(), len(ids))
+                     for a, b in zip(ky, kzt)], dtype=np.intp)
+
+
+def _null_labels(labels, ky: np.ndarray) -> np.ndarray:
+    """Labels whose within-class shuffles fix K_Y, or an InputError."""
+    if labels is None:
+        raise InputError("permutation test for the conditional statistic needs class labels")
+    labels = np.asarray(labels).ravel()
+    if labels.shape[0] != ky.shape[0]:
+        raise InputError(f"labels length {labels.shape[0]} != sample count {ky.shape[0]}")
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
+        if not np.all(ky[idx] == ky[idx[0]]):
+            raise InputError(f"labels class {c!r} holds samples with different K_Y rows, "
+                             "so shuffles within it do not fix K_Y")
+    return labels
+
+
 def cond(kxt: GramMatrix, kzt: GramMatrix, ky: GramMatrix, epsilon: float, *,
          labels: np.ndarray | None = None, permutations: int = 0,
          seed: int = 0) -> DependenceReport:
@@ -112,30 +155,62 @@ def cond(kxt: GramMatrix, kzt: GramMatrix, ky: GramMatrix, epsilon: float, *,
 
     ``kxt`` and ``kzt`` are Grams of the extended blocks (X, Y) and (Z, Y);
     build them with ``product_gram`` or use ``cond_from_blocks``.  The
-    permutation null shuffles Z within each Y class, which requires
-    ``labels``; such shuffles fix Y, so the extended Gram permutes as a whole.
+    permutation null shuffles Z within each class of ``labels``, which every
+    sample of a class must share a K_Y row with; such shuffles fix Y, so
+    the extended Gram permutes as a whole.
     """
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ConfigError(f"epsilon must be positive and finite, got {epsilon!r}")
     if not (kxt.n == kzt.n == ky.n):
         raise InputError(f"sample-count mismatch {kxt.n}, {kzt.n}, {ky.n}")
+    for name, k in (("K_Xt", kxt), ("K_Zt", kzt), ("K_Y", ky)):
+        if not np.all(np.isfinite(k.entries)):
+            raise NumericalError(f"non-finite entries in {name}")
     n = kxt.n
-    rxt = _normalized_entries(kxt, epsilon)
-    rzt = _normalized_entries(kzt, epsilon)
-    ry = _normalized_entries(ky, epsilon)
-    s = np.eye(n) - ry
-    m = s @ rxt @ s
-    stat = float(np.sum(rzt * m))
+    if permutations > 0:
+        labels = _null_labels(labels, ky.entries)
+
+    cell = _gram_cells(ky.entries, kzt.entries)
+    first = np.unique(cell, return_index=True)[1]
+    my = ky.entries[np.ix_(first, first)]
+    mzt = kzt.entries[np.ix_(first, first)]
+    ridge = n * epsilon
+    v, w, q = cell_terms(cell, None if is_constant_block(my) else my, mzt, ridge)
+    try:
+        factor, _ = scipy.linalg.cho_factor(center(kxt) + ridge * np.eye(n),
+                                            lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(f"regularized Gram is not positive definite: {exc}") from exc
+    base = float(np.sum(q * w))
+
+    def values(vs: np.ndarray) -> np.ndarray:
+        """Tr(Q (W - ne S^T S)), S = L^{-1} V_b, for each V_b = vs[:, b, :]."""
+        s = scipy.linalg.solve_triangular(factor, vs.reshape(n, -1), lower=True,
+                                          check_finite=False).reshape(vs.shape)
+        return base - ridge * np.einsum("nbi,nbi->b", s @ q, s)
+
+    stat = float(values(v[:, None, :])[0])
     pvalue = None
     if permutations > 0:
-        if labels is None:
-            raise InputError("permutation test for the conditional statistic needs class labels")
-        labels = np.asarray(labels).ravel()
-        if labels.shape[0] != n:
-            raise InputError(f"labels length {labels.shape[0]} != sample count {n}")
+        c = mzt.shape[0]
+        per_block = max(1, _BLOCK_COLUMNS // max(1, c - 1))
         hits = 0
-        for i in range(permutations):
-            perm = _within_class_permutation(labels, np.random.default_rng(seed + i))
-            if float(np.sum(rzt[np.ix_(perm, perm)] * m)) >= stat:
-                hits += 1
+        for start in range(0, permutations, per_block):
+            moved = []
+            for i in range(start, min(start + per_block, permutations)):
+                perm = _within_class_permutation(labels, np.random.default_rng(seed + i))
+                # The shuffled K_Zt is M_Zt over the cells cell[perm]; when it
+                # equals the observed one entry for entry (checked on the
+                # (cell, shuffled cell) pairs that occur), so does the value:
+                # a hit, not evaluated.  Keeping every sample in its cell is
+                # the common case.
+                src, dst = np.divmod(np.unique(cell * c + cell[perm]), c)
+                if np.array_equal(mzt[np.ix_(src, src)], mzt[np.ix_(dst, dst)]):
+                    hits += 1
+                else:
+                    moved.append(perm)
+            if moved:
+                hits += int(np.count_nonzero(values(v[np.stack(moved, axis=1)]) >= stat))
         pvalue = _pvalue(hits, permutations)
     return DependenceReport(stat, StatKind.COND, n, float(epsilon), pvalue)
 

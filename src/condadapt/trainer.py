@@ -39,6 +39,14 @@ class AdamConfig:
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __post_init__(self):
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and 0.0 <= value < 1.0):
+                raise ConfigError(f"AdamConfig.{name} must lie in [0, 1), got {value!r}")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError(f"AdamConfig.eps must be positive and finite, got {self.eps!r}")
+
 
 @dataclass(frozen=True)
 class TrainConfig:

@@ -158,7 +158,7 @@ def test_domain_as_a_function_of_the_label_is_resolved():
          -2.1775197922114734e-12, -2.23860695660714e-12],
         [-2.147837666422164e-12, -5.670584927778304e-13,
          1.4801311206486876e-12, 1.234765038551307e-12]])
-    assert value == pytest.approx(5.3448637245882349e-8, rel=1e-12)
+    assert value == pytest.approx(5.3448637245882349e-8, rel=1e-12, abs=0.0)
     assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 

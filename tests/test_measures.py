@@ -1,12 +1,14 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condadapt import measures
 from condadapt.data import chain_triple
-from condadapt.errors import DegenerateDataError, InputError
+from condadapt.errors import ConfigError, DegenerateDataError, InputError, NumericalError
 from condadapt.kernels import (
     GramMatrix,
     KernelConfig,
@@ -152,6 +154,15 @@ def test_cond_permutation_requires_labels():
         cond(k, k, k, 1e-3, permutations=10)
 
 
+def within_class_permutation(labels, seed):
+    gen = np.random.default_rng(seed)
+    perm = np.arange(labels.shape[0])
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
+        perm[idx] = idx[gen.permutation(idx.shape[0])]
+    return perm
+
+
 def test_cond_within_class_shortcut_matches_brute_rebuild():
     # dual route for the conditional null: class-preserving shuffles of the raw
     # domain indicators, with every Gram and normalization rebuilt per replicate
@@ -169,16 +180,144 @@ def test_cond_within_class_shortcut_matches_brute_rebuild():
     stat = cond_from_blocks(kx, label_gram(z), label_gram(y), eps).statistic
     hits = 0
     for i in range(30):
-        gen = np.random.default_rng(5 + i)
-        perm = np.arange(n)
-        for c in np.unique(labels):
-            idx = np.flatnonzero(labels == c)
-            perm[idx] = idx[gen.permutation(idx.shape[0])]
+        perm = within_class_permutation(labels, 5 + i)
         rep_stat = cond_from_blocks(kx, label_gram(z[:, perm]), label_gram(y),
                                     eps).statistic
         if rep_stat >= stat:
             hits += 1
     assert rep.permutation_pvalue == pytest.approx((1 + hits) / 31.0, abs=1e-15)
+
+
+def dense_cond_statistic(kxt, kzt, ky, epsilon):
+    """Dense n x n reference: three normalizations and S = I - R_Y formed."""
+    def normalized(k):
+        return normalize(center(k), epsilon).entries
+
+    s = np.eye(kxt.n) - normalized(ky)
+    return float(np.sum(normalized(kzt) * (s @ normalized(kxt) @ s)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 32),
+       y_kind=st.sampled_from(["hard", "constant", "continuous"]),
+       z_kind=st.sampled_from(["hard", "constant", "continuous", "constant-zt"]),
+       epsilon=st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4]),
+       permutations=st.integers(1, 30), block_columns=st.integers(1, 12))
+def test_cond_cells_match_dense_oracle_and_brute_null(seed, n, y_kind, z_kind, epsilon,
+                                                      permutations, block_columns):
+    # up to 4 classes x 3 domains at small n leaves empty classes and singleton
+    # cells; continuous blocks give one cell per sample; "constant" makes
+    # K_Zt = K_Y and "constant-zt" makes K_Zt itself constant
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(int(rng.integers(1, 4)), n))
+    if y_kind == "hard":
+        labels = rng.integers(0, int(rng.integers(1, 5)), size=n)
+        y = one_hot(labels, 4)
+    elif y_kind == "constant":
+        labels = np.zeros(n, dtype=int)
+        y = np.ones((1, n))
+    else:
+        labels = np.arange(n)
+        y = rng.normal(size=(2, n))
+    if z_kind == "hard":
+        z = one_hot(rng.integers(0, int(rng.integers(1, 4)), size=n), 3)
+    elif z_kind == "continuous":
+        z = rng.normal(size=(2, n))
+    else:
+        z = np.ones((1, n))
+    ky = label_gram(y)
+    kxt = product_gram(gram(x, KernelConfig.from_data(x)), ky)
+    kzt = (GramMatrix(np.ones((n, n))) if z_kind == "constant-zt"
+           else product_gram(label_gram(z), ky))
+
+    # a tiny column budget splits the replicates into blocks of every size,
+    # with the last block short whenever the count is not a multiple
+    with patch.object(measures, "_BLOCK_COLUMNS", block_columns):
+        rep = cond(kxt, kzt, ky, epsilon, labels=labels, permutations=permutations,
+                   seed=seed)
+    expected = dense_cond_statistic(kxt, kzt, ky, epsilon)
+    # the dense path forms S = I - R_Y by subtraction, so its absolute error
+    # grows like 1e-16 / eps (measured: at most a tenth of the term below);
+    # that term also covers exact zeros, where the dense path leaves ~1e-15
+    assert abs(rep.statistic - expected) <= 1e-11 * abs(expected) + 1e-15 / epsilon
+
+    hits = 0
+    for i in range(permutations):
+        perm = within_class_permutation(labels, seed + i)
+        rebuilt = cond(kxt, GramMatrix(kzt.entries[np.ix_(perm, perm)]), ky, epsilon)
+        hits += rebuilt.statistic >= rep.statistic
+    assert rep.permutation_pvalue == (1 + hits) / (1 + permutations)
+
+
+def test_cond_statistic_exact_when_domain_is_a_function_of_the_label():
+    # the 4-sample Z = Y instance of the gradient tests; the value comes from a
+    # 50-digit evaluation of the dense formulas with the same bandwidths
+    xre = np.array([[0.3, -1.1, 0.8, 1.7], [-0.4, 0.9, 0.2, -1.3]])
+    y = one_hot([0, 1, 1, 0], 2)
+    rep = cond_from_features(xre, y, y.copy(), 1e-4)
+    assert rep.statistic == pytest.approx(5.3448637245882349e-8, rel=1e-12, abs=0.0)
+
+
+def test_cond_null_is_all_ties_when_the_shuffled_gram_is_unchanged():
+    # Z a function of Y: every within-class shuffle leaves each sample's
+    # (class, domain) cell unchanged, so every replicate equals the observed
+    # statistic
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 3, size=60)
+        x = rng.normal(size=(2, 60))
+        rep = cond_from_features(x, one_hot(labels, 3), one_hot(labels % 2, 2), 1e-2,
+                                 labels=labels, permutations=50, seed=seed)
+        assert rep.permutation_pvalue == 1.0
+    # one class, three samples in three one-hot domains: shuffles move samples
+    # between cells, but K_Z is the same for every pair of distinct domains,
+    # so the shuffled K_Zt equals the observed one
+    x = random_features(9, n=3)
+    rep = cond_from_features(x, np.ones((1, 3)), np.eye(3), 1e-2,
+                             labels=np.zeros(3, dtype=int), permutations=20, seed=0)
+    assert rep.permutation_pvalue == 1.0
+
+
+def test_cond_rejects_labels_coarser_than_the_label_gram():
+    x = random_features(4, n=12)
+    classes = np.arange(12) % 3
+    ky = label_gram(one_hot(classes, 3))
+    kx = gram(x, KernelConfig.from_data(x))
+    kz = label_gram(one_hot(np.arange(12) % 2, 2))
+    merged = np.minimum(classes, 1)  # classes 1 and 2 share a label
+    with pytest.raises(InputError, match="labels"):
+        cond_from_blocks(kx, kz, ky, 1e-2, labels=merged, permutations=5)
+    finer = np.arange(12) % 6  # splitting a class still fixes K_Y
+    assert cond_from_blocks(kx, kz, ky, 1e-2, labels=finer,
+                            permutations=5).permutation_pvalue is not None
+
+
+@pytest.mark.parametrize("case,error", [
+    ("epsilon", ConfigError), ("size", InputError), ("labels-missing", InputError),
+    ("labels-length", InputError), ("non-finite", NumericalError),
+    ("not-factorizable", NumericalError),
+])
+def test_cond_input_checks(case, error):
+    x = random_features(6, n=10)
+    k = gram(x, KernelConfig.from_data(x))
+    kxt, kzt, ky = k, k, GramMatrix(np.ones((10, 10)))
+    kw = {"epsilon": 1e-2, "permutations": 3, "labels": np.zeros(10, dtype=int)}
+    if case == "epsilon":
+        kw["epsilon"] = 0.0
+    elif case == "size":
+        kzt = GramMatrix(np.eye(9))
+    elif case == "labels-missing":
+        kw["labels"] = None
+    elif case == "labels-length":
+        kw["labels"] = np.zeros(9, dtype=int)
+    elif case == "non-finite":
+        entries = k.entries.copy()
+        entries[2, 3] = entries[3, 2] = np.inf
+        kzt = GramMatrix(entries)
+    else:
+        kxt = GramMatrix(-10.0 * np.eye(10))
+    with pytest.raises(error):
+        cond(kxt, kzt, ky, kw.pop("epsilon"), **kw)
 
 
 # per-class statistic

@@ -80,6 +80,14 @@ def test_config_rejects_non_finite_values_by_name(field, value):
         quick_config(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [("beta1", float("nan")), ("beta1", 1.0),
+                                         ("beta2", -0.1), ("beta2", float("inf")),
+                                         ("eps", -1.0), ("eps", 0.0), ("eps", float("nan"))])
+def test_adam_config_rejects_invalid_values_by_name(field, value):
+    with pytest.raises(ConfigError, match=f"AdamConfig.{field}"):
+        AdamConfig(**{field: value})
+
+
 @pytest.mark.parametrize("where", ["source", "target"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_dataset_rejects_non_finite_values_by_name(where, value):
