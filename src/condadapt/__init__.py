@@ -39,9 +39,7 @@ from .gradients import (
     CondKernelConfig,
     GradCheckReport,
     cond_objective,
-    cond_value,
     finite_diff_check,
-    grad_cond_wrt_features,
     nocco_objective,
 )
 from .model import (

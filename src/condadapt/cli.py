@@ -19,7 +19,6 @@ import numpy as np
 from . import data as data_mod
 from . import measures
 from .errors import ConfigError, DegenerateDataError, InputError, NumericalError, ParseError
-from .gradients import cond_value
 from .model import forward_g, save_params
 from .trainer import AdaptationDataset, PseudoLabelMode, TrainConfig, fit, target_accuracy
 
@@ -216,12 +215,17 @@ def _train_config(args, seed: int, beta1=None, beta2=None, epsilon=None) -> Trai
     )
 
 
-def _run_trials(args, parser, trials: int, base_seed: int,
-                beta1=None, beta2=None, epsilon=None):
-    """Fit per trial (fresh data seed for synthetics) and collect accuracies."""
+def _trial_seeds(args, parser) -> list[int]:
+    if args.trials < 1:
+        parser.error("--trials must be >= 1")
+    return [args.seed + t for t in range(args.trials)]
+
+
+def _run_trials(args, parser, beta1=None, beta2=None, epsilon=None):
+    """Fit once per trial seed (also the data seed, for synthetics) and collect
+    accuracies; every call runs the same seeds, so its arms are paired."""
     results = []
-    for t in range(trials):
-        seed = base_seed + t
+    for seed in _trial_seeds(args, parser):
         ds = _dataset_from_args(args, seed, parser)
         cfg = _train_config(args, seed, beta1, beta2, epsilon)
         params, _ = fit(ds, cfg)
@@ -239,15 +243,13 @@ def _mean_stderr(values) -> tuple[float | None, float | None]:
 
 
 def _cmd_train(args, parser) -> dict:
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
-    runs = _run_trials(args, parser, args.trials, args.seed)
+    runs = _run_trials(args, parser)
     accs = [acc for _, _, acc in runs]
     mean, stderr = _mean_stderr(accs)
     results: dict = {"per_trial_accuracy": accs, "accuracy_mean": mean,
                      "accuracy_stderr": stderr}
     if args.baseline:
-        base = _run_trials(args, parser, args.trials, args.seed, beta1=0.0, beta2=0.0)
+        base = _run_trials(args, parser, beta1=0.0, beta2=0.0)
         b_accs = [acc for _, _, acc in base]
         b_mean, b_stderr = _mean_stderr(b_accs)
         deltas = [None if (a is None or b is None) else a - b
@@ -280,9 +282,8 @@ def _cmd_sweep(args, parser) -> dict:
                 else _parse_grid(args.epsilon_grid, "--epsilon-grid", parser))
     cells = sorted((b1, b2, e) for b1 in b1s for b2 in b2s for e in eps_grid)
     rows = []
-    for index, (b1, b2, eps) in enumerate(cells):
-        runs = _run_trials(args, parser, args.trials, args.seed + index,
-                           beta1=b1, beta2=b2, epsilon=eps)
+    for b1, b2, eps in cells:
+        runs = _run_trials(args, parser, beta1=b1, beta2=b2, epsilon=eps)
         mean, stderr = _mean_stderr([acc for _, _, acc in runs])
         params, ds, _ = runs[0]
         rows.append({"beta1": b1, "beta2": b2, "epsilon": eps,
@@ -290,7 +291,8 @@ def _cmd_sweep(args, parser) -> dict:
                      **_alignment_stats(params, ds, eps)})
     _human_lines([f"b1={r['beta1']:g} b2={r['beta2']:g} eps={r['epsilon']:g} "
                   f"acc={r['accuracy_mean']}" for r in rows])
-    return {"rows": rows, "cells": len(rows)}
+    return {"rows": rows, "cells": len(rows),
+            "trial_seeds": _trial_seeds(args, parser)}
 
 
 def _alignment_stats(params, ds: AdaptationDataset, epsilon: float) -> dict:
@@ -308,7 +310,7 @@ def _alignment_stats(params, ds: AdaptationDataset, epsilon: float) -> dict:
         "rep_nocco": measures.nocco_from_features(xre, z, epsilon).statistic,
         "rep_per_class_nocco": measures.per_class_nocco_from_features(
             xre, z, labels, epsilon).statistic,
-        "rep_cond": cond_value(xre, y, z, None, epsilon),
+        "rep_cond": measures.cond_from_features(xre, y, z, epsilon).statistic,
     }
 
 

@@ -39,8 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, InputError, NumericalError
-from .kernels import KernelConfig, center, gram, is_constant_block, pairwise_sq_dists
+from .errors import InputError, NumericalError
+from .kernels import (
+    KernelConfig,
+    center,
+    check_epsilon,
+    gram,
+    is_constant_block,
+    pairwise_sq_dists,
+)
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,8 @@ def _label_config(m) -> KernelConfig | None:
     return None if is_constant_block(m) else KernelConfig.from_data(m)
 
 
-def _as_block(m, n: int, name: str) -> np.ndarray:
+def as_block(m, n: int, name: str) -> np.ndarray:
+    """m as a finite (rows, n) float block, or an InputError naming it."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.ndim != 2 or m.shape[1] != n:
         raise InputError(f"{name} block has shape {m.shape}, expected {n} columns")
@@ -131,6 +139,36 @@ def cell_terms(cell: np.ndarray, my: np.ndarray | None, mzt: np.ndarray,
     return v, w, q
 
 
+def cond_cells(xre: np.ndarray, y: np.ndarray, z: np.ndarray, cfgs: CondKernelConfig
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+    """K_Xt and the cells of the stacked (Y; Z) block, with their Grams.
+
+    Returns (K_Xt, cell, M_Y, M_Zt): ``cell`` numbers each sample's distinct
+    (Y; Z) column, M_Y and M_Zt = M_Z * M_Y are c x c Grams over the cells
+    under the bandwidths of ``cfgs``, M_Y is None for a constant label
+    kernel, and K_Xt = K_X * M_Y[cell, cell] is the n x n extended Gram.
+    """
+    kx = np.exp(-pairwise_sq_dists(xre) / cfgs.x.bandwidth_sq)
+    if not np.all(np.isfinite(kx)):
+        raise NumericalError("feature kernel matrix has non-finite entries")
+    cells, cell = np.unique(np.vstack([y, z]), axis=1, return_inverse=True)
+    cell = cell.ravel()
+    my = _cell_gram(cells[:y.shape[0]], cfgs.y)
+    mzt = _cell_gram(cells[y.shape[0]:], cfgs.z) * my
+    kxt = kx * my[np.ix_(cell, cell)]
+    return kxt, cell, None if cfgs.y is None else my, mzt
+
+
+def ridge_cholesky(kxt: np.ndarray, ridge: float):
+    """Lower Cholesky factor of H K_Xt H + ne I, in ``cho_factor`` form."""
+    g = center(kxt)
+    g.flat[::g.shape[0] + 1] += ridge
+    try:
+        return scipy.linalg.cho_factor(g, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(f"regularized Gram is not positive definite: {exc}") from exc
+
+
 def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
                    epsilon: float) -> tuple[float, np.ndarray]:
     """Value and feature gradient of the conditional dependence objective.
@@ -140,16 +178,15 @@ def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
     makes the objective identically zero: with a single domain there is no
     dependence to remove, so both value and gradient vanish.
     """
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ConfigError(f"epsilon must be positive and finite, got {epsilon!r}")
+    check_epsilon(epsilon)
     xre = np.asarray(xre, dtype=float)
     if xre.ndim != 2:
         raise InputError(f"expected a (d', n) feature matrix, got ndim={xre.ndim}")
     if not np.all(np.isfinite(xre)):
         raise InputError("feature matrix contains non-finite values")
     n = xre.shape[1]
-    y = _as_block(y, n, "label")
-    z = _as_block(z, n, "domain")
+    y = as_block(y, n, "label")
+    z = as_block(z, n, "domain")
     if is_constant_block(z):
         return 0.0, np.zeros_like(xre)
     if cfgs is None:
@@ -157,43 +194,20 @@ def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
     if cfgs.y is None and cfgs.z is None:  # K_Zt = 1 centers to 0, so R_Zt = 0
         return 0.0, np.zeros_like(xre)
 
-    s2x = cfgs.x.bandwidth_sq
-    kx = np.exp(-pairwise_sq_dists(xre) / s2x)
-    if not np.all(np.isfinite(kx)):
-        raise NumericalError("feature kernel matrix has non-finite entries")
-
-    cells, cell = np.unique(np.vstack([y, z]), axis=1, return_inverse=True)
-    cell = cell.ravel()
-    my = _cell_gram(cells[:y.shape[0]], cfgs.y)
-    mzt = _cell_gram(cells[y.shape[0]:], cfgs.z) * my
-    kxt = kx * my[np.ix_(cell, cell)]
+    kxt, cell, my, mzt = cond_cells(xre, y, z, cfgs)
     ridge = n * epsilon
-    v, w, q = cell_terms(cell, None if cfgs.y is None else my, mzt, ridge)
-
-    try:
-        factor = scipy.linalg.cho_factor(center(kxt) + ridge * np.eye(n),
-                                         lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"regularized solve failed: {exc}") from exc
+    v, w, q = cell_terms(cell, my, mzt, ridge)
+    factor = ridge_cholesky(kxt, ridge)
     p = scipy.linalg.cho_solve(factor, v, check_finite=False)
     p -= p.mean(axis=0)  # H P equals P in exact arithmetic
     value = float(np.sum(q * (w - ridge * (v.T @ p))))
 
     dk = ridge * (p @ q @ p.T)
     e = 0.5 * (dk + dk.T) * kxt
-    grad = (4.0 / s2x) * (xre @ e - xre * e.sum(axis=1)[None, :])
+    grad = (4.0 / cfgs.x.bandwidth_sq) * (xre @ e - xre * e.sum(axis=1)[None, :])
     if not np.all(np.isfinite(grad)):
         raise NumericalError("gradient assembly produced non-finite entries")
     return value, grad
-
-
-def cond_value(xre, y, z, cfgs: CondKernelConfig | None, epsilon: float) -> float:
-    return cond_objective(xre, y, z, cfgs, epsilon)[0]
-
-
-def grad_cond_wrt_features(xre, y, z, cfgs: CondKernelConfig | None,
-                           epsilon: float) -> np.ndarray:
-    return cond_objective(xre, y, z, cfgs, epsilon)[1]
 
 
 def nocco_objective(xre, z, cfgs: CondKernelConfig | None,

@@ -79,6 +79,12 @@ class NormalizedGram:
         return self.entries.shape[0]
 
 
+def check_epsilon(epsilon: float):
+    """ConfigError unless the regularization eps is positive and finite."""
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ConfigError(f"epsilon must be positive and finite, got {epsilon!r}")
+
+
 def _as_columns(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -105,15 +111,19 @@ def gaussian_kernel(x, y, cfg: KernelConfig) -> float:
 def pairwise_sq_dists(x) -> np.ndarray:
     """All-pairs squared Euclidean distances of x's columns.
 
-    The upper triangle is computed once and mirrored, so the result is
-    exactly symmetric with an exactly zero diagonal.
+    numpy evaluates ``x.T @ x`` with a symmetric rank-k update (one triangle
+    computed, then mirrored) when x has a unit stride, so the Gram term is
+    exactly symmetric, and so is (sq_i + sq_j) - 2 g_ij; a view strided in
+    both axes is copied first.  The diagonal is set to exactly zero.
     """
     x = _as_columns(x)
+    if x.itemsize not in x.strides:
+        x = np.ascontiguousarray(x)
     sq = np.einsum("ij,ij->j", x, x)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x.T @ x)
     np.maximum(d2, 0.0, out=d2)
-    upper = np.triu(d2, k=1)
-    return upper + upper.T
+    np.fill_diagonal(d2, 0.0)
+    return d2
 
 
 def cross_sq_dists(a, b) -> np.ndarray:
@@ -202,8 +212,7 @@ def normalize(g, epsilon: float) -> NormalizedGram:
     Uses the identity R = I - n*eps*(G + n*eps*I)^{-1}; the inverse is applied
     through an SPD factorization, never formed from an unsymmetrized product.
     """
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ConfigError(f"epsilon must be positive and finite, got {epsilon!r}")
+    check_epsilon(epsilon)
     g = g.entries if isinstance(g, GramMatrix) else np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise InputError(f"expected a square matrix, got shape {g.shape}")

@@ -12,16 +12,22 @@ Both are non-negative and shrink to zero under (conditional) independence as
 n grows with eps_n -> 0, eps_n^3 * n -> infinity.
 
 The conditional statistic goes through the cell algebra of
-``gradients.cell_terms``: samples whose rows of [K_Y | K_Zt] are equal share
-a cell, so S R_Zt S = V Q V^T with V the centred n x (c-1) cell indicator.
-With L the Cholesky factor of G_Xt + n*eps*I, the value is
-Tr(Q (W - n*eps*S^T S)), S = L^{-1} V.  A shuffle within the label classes
-fixes K_Y, K_Xt, W and Q and only permutes the rows of V, so the null
-replicates cost one batched triangular solve per block of them.  A
-shuffle that leaves K_Zt unchanged entry for entry (one that keeps every
-sample in its cell, say) is an exact tie, counted without being evaluated.
-The plain and per-class statistics keep their dense
-normalizations and conjugate R_Z by each permutation.
+``gradients.cell_terms``, S R_Zt S = V Q V^T with V the centred
+n x (c-1) indicator of the samples' cells.  ``cond_from_features`` takes the
+cells, the c distinct columns of the stacked (Y; Z) block, from the raw
+blocks with ``gradients.cond_cells``, the builder the training objective
+uses, so the only n x n Gram it forms is K_Xt.  ``cond`` takes Grams and
+groups samples whose rows of [K_Y | K_Zt] are equal.  With L the Cholesky
+factor of G_Xt + n*eps*I, the value is Tr(Q (W - n*eps*S^T S)),
+S = L^{-1} V.  A shuffle within the label classes fixes K_Y, K_Xt, W and Q
+and only permutes the rows of V, so the null replicates cost one batched
+triangular solve per block of them.  A shuffle that keeps every sample in
+its cell is a hit without being evaluated; an evaluated replicate just
+below the statistic is a hit when it leaves K_Zt unchanged entry for entry
+(shuffles between interchangeable cells), which is checked only for those.
+Each replicate costs O(n^2 (c-1)), so a continuous label or domain block
+(c = n) makes it O(n^3).  The plain and per-class statistics keep their
+dense normalizations and conjugate R_Z by each permutation.
 """
 
 from __future__ import annotations
@@ -35,11 +41,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, DegenerateDataError, InputError, NumericalError
-from .gradients import cell_terms
+from .gradients import CondKernelConfig, as_block, cell_terms, cond_cells, ridge_cholesky
 from .kernels import (
     GramMatrix,
     KernelConfig,
     center,
+    check_epsilon,
     cross_sq_dists,
     gram,
     is_constant_block,
@@ -52,6 +59,10 @@ from .kernels import (
 # permutation null.  A block holds as many replicates as fit (at least one),
 # so the workspace stays within n times this whatever the permutation count.
 _BLOCK_COLUMNS = 256
+# A replicate whose value lies this close below the statistic (relative to
+# the larger of it and Tr(Q W), plus the floor) is checked for an exact tie.
+_TIE_RTOL = 1e-9
+_TIE_ATOL = 1e-12
 
 
 class StatKind(Enum):
@@ -92,14 +103,6 @@ def _pvalue(null_geq: int, permutations: int) -> float:
     return (1.0 + null_geq) / (1.0 + permutations)
 
 
-def _within_class_permutation(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    perm = np.arange(labels.shape[0])
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
-        perm[idx] = idx[rng.permutation(idx.shape[0])]
-    return perm
-
-
 def nocco(kx: GramMatrix, kz: GramMatrix, epsilon: float, *,
           permutations: int = 0, seed: int = 0) -> DependenceReport:
     """Dependence statistic Tr(R_Z R_X) between two kernelized blocks.
@@ -133,19 +136,84 @@ def _gram_cells(ky: np.ndarray, kzt: np.ndarray) -> np.ndarray:
                      for a, b in zip(ky, kzt)], dtype=np.intp)
 
 
-def _null_labels(labels, ky: np.ndarray) -> np.ndarray:
-    """Labels whose within-class shuffles fix K_Y, or an InputError."""
+def _null_classes(labels, rows: np.ndarray, what: str) -> list[np.ndarray]:
+    """Index array of each class of ``labels``, in ``np.unique`` order.
+
+    Every sample of a class must share its row of ``rows`` (its K_Y row or
+    its label column), so that shuffles within the classes fix K_Y;
+    otherwise an InputError names ``labels``.
+    """
     if labels is None:
         raise InputError("permutation test for the conditional statistic needs class labels")
     labels = np.asarray(labels).ravel()
-    if labels.shape[0] != ky.shape[0]:
-        raise InputError(f"labels length {labels.shape[0]} != sample count {ky.shape[0]}")
+    if labels.shape[0] != rows.shape[0]:
+        raise InputError(f"labels length {labels.shape[0]} != sample count {rows.shape[0]}")
+    classes = []
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
-        if not np.all(ky[idx] == ky[idx[0]]):
-            raise InputError(f"labels class {c!r} holds samples with different K_Y rows, "
+        if not np.all(rows[idx] == rows[idx[0]]):
+            raise InputError(f"labels class {c!r} holds samples with different {what}, "
                              "so shuffles within it do not fix K_Y")
-    return labels
+        classes.append(idx)
+    return classes
+
+
+def _within_class_permutation(classes: list[np.ndarray], n: int,
+                              rng: np.random.Generator) -> np.ndarray:
+    perm = np.arange(n)
+    for idx in classes:
+        perm[idx] = idx[rng.permutation(idx.shape[0])]
+    return perm
+
+
+def _same_domain_gram(cell: np.ndarray, perm: np.ndarray, mzt: np.ndarray) -> bool:
+    """True when shuffling by ``perm`` leaves K_Zt = M_Zt[cell, cell] unchanged
+    entry for entry, checked on the (cell, shuffled cell) pairs that occur."""
+    c = mzt.shape[0]
+    src, dst = np.divmod(np.unique(cell * c + cell[perm]), c)
+    return bool(np.array_equal(mzt[np.ix_(src, src)], mzt[np.ix_(dst, dst)]))
+
+
+def _cond_test(kxt: np.ndarray, cell: np.ndarray, my: np.ndarray | None,
+               mzt: np.ndarray, epsilon: float, classes: list[np.ndarray] | None,
+               permutations: int, seed: int) -> DependenceReport:
+    """Statistic and permutation null from K_Xt and the cells with their Grams
+    (see ``gradients.cond_cells``); ``classes`` is needed when permuting."""
+    n = cell.shape[0]
+    ridge = n * epsilon
+    v, w, q = cell_terms(cell, my, mzt, ridge)
+    factor, _ = ridge_cholesky(kxt, ridge)
+    base = float(np.sum(q * w))
+
+    def values(vs: np.ndarray) -> np.ndarray:
+        """Tr(Q (W - ne S^T S)), S = L^{-1} V_b, for each V_b = vs[:, b, :]."""
+        s = scipy.linalg.solve_triangular(factor, vs.reshape(n, -1), lower=True,
+                                          check_finite=False).reshape(vs.shape)
+        return base - ridge * np.einsum("nbi,nbi->b", s @ q, s)
+
+    stat = float(values(v[:, None, :])[0])
+    pvalue = None
+    if permutations > 0:
+        per_block = max(1, _BLOCK_COLUMNS // max(1, mzt.shape[0] - 1))
+        # an exact tie evaluates to the statistic up to rounding, far inside this
+        tie_tol = _TIE_RTOL * max(abs(stat), abs(base)) + _TIE_ATOL
+        hits = 0
+        for start in range(0, permutations, per_block):
+            perms = np.stack([
+                _within_class_permutation(classes, n, np.random.default_rng(seed + i))
+                for i in range(start, min(start + per_block, permutations))], axis=1)
+            # a shuffle that keeps every sample in its cell fixes K_Zt: a hit
+            moved = perms[:, np.any(cell[perms] != cell[:, None], axis=0)]
+            hits += perms.shape[1] - moved.shape[1]
+            if not moved.shape[1]:
+                continue
+            vals = values(v[moved])
+            hits += int(np.count_nonzero(vals >= stat))
+            # below the statistic only by rounding: a hit if K_Zt is unchanged
+            for j in np.flatnonzero((vals < stat) & (vals >= stat - tie_tol)):
+                hits += _same_domain_gram(cell, moved[:, j], mzt)
+        pvalue = _pvalue(hits, permutations)
+    return DependenceReport(stat, StatKind.COND, n, float(epsilon), pvalue)
 
 
 def cond(kxt: GramMatrix, kzt: GramMatrix, ky: GramMatrix, epsilon: float, *,
@@ -159,60 +227,19 @@ def cond(kxt: GramMatrix, kzt: GramMatrix, ky: GramMatrix, epsilon: float, *,
     sample of a class must share a K_Y row with; such shuffles fix Y, so
     the extended Gram permutes as a whole.
     """
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ConfigError(f"epsilon must be positive and finite, got {epsilon!r}")
+    check_epsilon(epsilon)
     if not (kxt.n == kzt.n == ky.n):
         raise InputError(f"sample-count mismatch {kxt.n}, {kzt.n}, {ky.n}")
     for name, k in (("K_Xt", kxt), ("K_Zt", kzt), ("K_Y", ky)):
         if not np.all(np.isfinite(k.entries)):
             raise NumericalError(f"non-finite entries in {name}")
-    n = kxt.n
-    if permutations > 0:
-        labels = _null_labels(labels, ky.entries)
-
+    classes = _null_classes(labels, ky.entries, "K_Y rows") if permutations > 0 else None
     cell = _gram_cells(ky.entries, kzt.entries)
     first = np.unique(cell, return_index=True)[1]
     my = ky.entries[np.ix_(first, first)]
     mzt = kzt.entries[np.ix_(first, first)]
-    ridge = n * epsilon
-    v, w, q = cell_terms(cell, None if is_constant_block(my) else my, mzt, ridge)
-    try:
-        factor, _ = scipy.linalg.cho_factor(center(kxt) + ridge * np.eye(n),
-                                            lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"regularized Gram is not positive definite: {exc}") from exc
-    base = float(np.sum(q * w))
-
-    def values(vs: np.ndarray) -> np.ndarray:
-        """Tr(Q (W - ne S^T S)), S = L^{-1} V_b, for each V_b = vs[:, b, :]."""
-        s = scipy.linalg.solve_triangular(factor, vs.reshape(n, -1), lower=True,
-                                          check_finite=False).reshape(vs.shape)
-        return base - ridge * np.einsum("nbi,nbi->b", s @ q, s)
-
-    stat = float(values(v[:, None, :])[0])
-    pvalue = None
-    if permutations > 0:
-        c = mzt.shape[0]
-        per_block = max(1, _BLOCK_COLUMNS // max(1, c - 1))
-        hits = 0
-        for start in range(0, permutations, per_block):
-            moved = []
-            for i in range(start, min(start + per_block, permutations)):
-                perm = _within_class_permutation(labels, np.random.default_rng(seed + i))
-                # The shuffled K_Zt is M_Zt over the cells cell[perm]; when it
-                # equals the observed one entry for entry (checked on the
-                # (cell, shuffled cell) pairs that occur), so does the value:
-                # a hit, not evaluated.  Keeping every sample in its cell is
-                # the common case.
-                src, dst = np.divmod(np.unique(cell * c + cell[perm]), c)
-                if np.array_equal(mzt[np.ix_(src, src)], mzt[np.ix_(dst, dst)]):
-                    hits += 1
-                else:
-                    moved.append(perm)
-            if moved:
-                hits += int(np.count_nonzero(values(v[np.stack(moved, axis=1)]) >= stat))
-        pvalue = _pvalue(hits, permutations)
-    return DependenceReport(stat, StatKind.COND, n, float(epsilon), pvalue)
+    return _cond_test(kxt.entries, cell, None if is_constant_block(my) else my, mzt,
+                      epsilon, classes, permutations, seed)
 
 
 def cond_from_blocks(kx: GramMatrix, kz: GramMatrix, ky: GramMatrix,
@@ -275,11 +302,22 @@ def nocco_from_features(x, z, epsilon: float, **kw) -> DependenceReport:
     return nocco(gram(x, KernelConfig.from_data(x)), label_gram(z), epsilon, **kw)
 
 
-def cond_from_features(x, y, z, epsilon: float, **kw) -> DependenceReport:
-    """Conditional statistic from raw matrices (features, labels, domains)."""
-    x = np.asarray(x, dtype=float)
-    kx = gram(x, KernelConfig.from_data(x))
-    return cond_from_blocks(kx, label_gram(z), label_gram(y), epsilon, **kw)
+def cond_from_features(x, y, z, epsilon: float, *, labels=None, permutations: int = 0,
+                       seed: int = 0) -> DependenceReport:
+    """Conditional statistic from raw (d, n) feature, label and domain blocks.
+
+    Bandwidths are fitted as ``label_gram`` fits them; the only n x n Gram
+    built is K_Xt, since the label and domain kernels are taken over the
+    cells of the stacked (Y; Z) block.  Every sample of a class of
+    ``labels`` must have the same label column.
+    """
+    check_epsilon(epsilon)
+    n = np.atleast_1d(x).shape[-1]
+    x, y, z = (as_block(m, n, name) for m, name in ((x, "feature"), (y, "label"),
+                                                      (z, "domain")))
+    classes = _null_classes(labels, y.T, "label columns") if permutations > 0 else None
+    kxt, cell, my, mzt = cond_cells(x, y, z, CondKernelConfig.resolve(x, y, z))
+    return _cond_test(kxt, cell, my, mzt, epsilon, classes, permutations, seed)
 
 
 def per_class_nocco_from_features(x, z, labels, epsilon: float, **kw) -> DependenceReport:

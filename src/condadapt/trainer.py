@@ -193,6 +193,11 @@ def adam_step(params: ModelParams, grads: list[np.ndarray], state: AdamState,
         a -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
 
 
+def _check_update(params: ModelParams, where: str):
+    if not all(np.all(np.isfinite(a)) for a in params.arrays()):
+        raise NumericalError(f"Adam update produced non-finite parameters at {where}")
+
+
 def target_accuracy(params: ModelParams, dataset: AdaptationDataset) -> float | None:
     """Fraction of target predictions matching the evaluation labels, if any."""
     if dataset.target_truth is None:
@@ -226,6 +231,7 @@ def pretrain(dataset: AdaptationDataset, config: TrainConfig,
             raise NumericalError(f"cross-entropy became non-finite at pretrain epoch {epoch}")
         grads = backward_pass(params, st, st.probs - ys)
         adam_step(params, grads, state, config.learning_rate, config.adam)
+        _check_update(params, f"pretrain epoch {epoch}")
         trace.losses.append(LossBreakdown(ce, 0.0, 0.0, config.beta1, config.beta2))
         trace.target_accuracy.append(target_accuracy(params, dataset))
     return params, trace
@@ -297,6 +303,8 @@ def adapt_epoch(dataset: AdaptationDataset, config: TrainConfig,
 
     grads = backward_pass(params, st, dlogits, dxre)
     adam_step(params, grads, opt_state, config.learning_rate, config.adam)
+    # the optimizer counts steps; in ``fit`` step t is adaptation epoch t - 1
+    _check_update(params, f"adaptation epoch {opt_state.t - 1}")
     dataset.pseudo_labels = _predict_labels(params, dataset.target,
                                             config.pseudo_label_mode)
     return params, LossBreakdown(ce, cond_term, ent, config.beta1, config.beta2)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from condadapt.data import SyntheticKind, SyntheticSpec, chain_triple, make_shifted_blobs
-from condadapt.gradients import CondKernelConfig, cond_objective, cond_value, finite_diff_check
+from condadapt.gradients import CondKernelConfig, cond_objective, finite_diff_check
 from condadapt.kernels import KernelConfig, gram, label_gram, normalize
 from condadapt.measures import (
     a_distance,
@@ -103,7 +103,7 @@ def test_criterion_2_analytic_gradients_match_central_differences(capsys):
 
         cfgs = CondKernelConfig.resolve(xre, y, z)  # stop-gradient bandwidths
         _, grad = cond_objective(xre, y, z, cfgs, 1e-3)
-        rep = finite_diff_check(lambda m: cond_value(m, y, z, cfgs, 1e-3),
+        rep = finite_diff_check(lambda m: cond_objective(m, y, z, cfgs, 1e-3)[0],
                                 xre, grad, probes=50, seed=seed)
         worst["conditional"] = max(worst["conditional"], rep.max_rel_error)
 

@@ -194,3 +194,19 @@ def test_single_cell_sweep_matches_train(capsys):
     assert rc == 0
     row = sweep_rep["results"]["rows"][0]
     assert row["accuracy_mean"] == train_rep["results"]["accuracy_mean"]
+
+
+def test_sweep_cells_are_paired_on_the_same_trial_seeds(capsys):
+    # every cell fits the seeds seed .. seed+T-1, so each row equals a train
+    # run with that cell's weights and the sweep's own seeds
+    common = FAST_TRAIN + ["--seed", "4", "--trials", "2", "--adapt-epochs", "2"]
+    rc, sweep_rep, _ = run(capsys, ["sweep"] + common +
+                           ["--beta1-grid", "0,0.01", "--beta2-grid", "0.005"])
+    assert rc == 0
+    assert sweep_rep["results"]["trial_seeds"] == [4, 5]
+    for row in sweep_rep["results"]["rows"]:
+        rc, train_rep, _ = run(capsys, ["train"] + common +
+                               ["--beta1", str(row["beta1"]), "--beta2", "0.005"])
+        assert rc == 0
+        assert row["accuracy_mean"] == train_rep["results"]["accuracy_mean"]
+        assert row["accuracy_stderr"] == train_rep["results"]["accuracy_stderr"]

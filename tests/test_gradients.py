@@ -8,9 +8,7 @@ from condadapt.gradients import (
     CondKernelConfig,
     GradCheckReport,
     cond_objective,
-    cond_value,
     finite_diff_check,
-    grad_cond_wrt_features,
     nocco_objective,
 )
 from condadapt.kernels import KernelConfig
@@ -40,7 +38,7 @@ def test_value_agrees_with_measures_route():
     # measures module computes from Gram matrices
     xre, y, z = random_instance(0)
     cfgs = CondKernelConfig.resolve(xre, y, z)
-    via_gradients = cond_value(xre, y, z, cfgs, 1e-3)
+    via_gradients = cond_objective(xre, y, z, cfgs, 1e-3)[0]
     via_measures = cond_from_features(xre, y, z, 1e-3).statistic
     assert via_gradients == pytest.approx(via_measures, rel=1e-12)
 
@@ -169,7 +167,7 @@ def test_cond_gradient_matches_finite_differences():
     xre, y, z = random_instance(6)
     cfgs = CondKernelConfig.resolve(xre, y, z)  # stop-gradient bandwidths
     value, grad = cond_objective(xre, y, z, cfgs, 1e-3)
-    rep = finite_diff_check(lambda m: cond_value(m, y, z, cfgs, 1e-3), xre, grad)
+    rep = finite_diff_check(lambda m: cond_objective(m, y, z, cfgs, 1e-3)[0], xre, grad)
     assert rep.max_rel_error < 1e-4
     assert rep.probes == 50
 
@@ -185,10 +183,9 @@ def test_nocco_gradient_matches_finite_differences():
 def test_gradient_is_permutation_equivariant():
     xre, y, z = random_instance(8)
     cfgs = CondKernelConfig.resolve(xre, y, z)
-    grad = grad_cond_wrt_features(xre, y, z, cfgs, 1e-3)
+    grad = cond_objective(xre, y, z, cfgs, 1e-3)[1]
     perm = np.random.default_rng(8).permutation(xre.shape[1])
-    grad_perm = grad_cond_wrt_features(xre[:, perm], y[:, perm], z[:, perm],
-                                       cfgs, 1e-3)
+    grad_perm = cond_objective(xre[:, perm], y[:, perm], z[:, perm], cfgs, 1e-3)[1]
     np.testing.assert_allclose(grad_perm, grad[:, perm], atol=1e-10)
 
 
@@ -198,7 +195,7 @@ def test_duplicated_samples_share_gradients():
     y2 = np.repeat(y, 2, axis=1)
     z2 = np.repeat(z, 2, axis=1)
     cfgs = CondKernelConfig.resolve(x2, y2, z2)
-    grad = grad_cond_wrt_features(x2, y2, z2, cfgs, 1e-3)
+    grad = cond_objective(x2, y2, z2, cfgs, 1e-3)[1]
     np.testing.assert_allclose(grad[:, ::2], grad[:, 1::2], atol=1e-12)
 
 
@@ -231,8 +228,8 @@ def test_harness_rejects_bad_step_and_shape():
 def test_harness_deterministic_given_seed():
     xre, y, z = random_instance(11, n=15)
     cfgs = CondKernelConfig.resolve(xre, y, z)
-    grad = grad_cond_wrt_features(xre, y, z, cfgs, 1e-3)
-    obj = lambda m: cond_value(m, y, z, cfgs, 1e-3)
+    grad = cond_objective(xre, y, z, cfgs, 1e-3)[1]
+    obj = lambda m: cond_objective(m, y, z, cfgs, 1e-3)[0]
     a = finite_diff_check(obj, xre, grad, probes=10, seed=4)
     b = finite_diff_check(obj, xre, grad, probes=10, seed=4)
     assert a == b

@@ -16,6 +16,7 @@ from condadapt.kernels import (
     label_gram,
     mean_sq_dist_bandwidth,
     normalize,
+    pairwise_sq_dists,
     product_gram,
 )
 
@@ -151,6 +152,38 @@ def test_gram_spectrum_nonnegative():
         g = gram(x, KernelConfig.from_data(x))
         eigs = np.linalg.eigvalsh(g.entries)
         assert eigs.min() >= -1e-8 * 60
+
+
+def triu_mirror_sq_dists(x):
+    """The former formula: upper triangle of the expanded distances, mirrored."""
+    sq = np.einsum("ij,ij->j", x, x)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x.T @ x)
+    np.maximum(d2, 0.0, out=d2)
+    upper = np.triu(d2, k=1)
+    return upper + upper.T
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 10_000), d=st.integers(1, 40), n=st.integers(1, 300),
+       log_scale=st.floats(-3.0, 3.0))
+def test_pairwise_sq_dists_matches_mirrored_triangle_bit_for_bit(seed, d, n, log_scale):
+    base = 10.0 ** log_scale * np.random.default_rng(seed).normal(size=(d + 2, 2 * n + 3))
+    layouts = {
+        "C": np.ascontiguousarray(base[:d, :n]),
+        "F": np.asfortranarray(base[:d, :n]),
+        "row-sliced": base[1:d + 1],
+        "block": base[1:d + 1, 2:n + 2],
+    }
+    for name, x in layouts.items():
+        d2 = pairwise_sq_dists(x)
+        assert np.array_equal(d2, triu_mirror_sq_dists(x)), name
+        assert np.array_equal(d2, d2.T), name
+        assert np.all(np.diag(d2) == 0.0), name
+    # a view strided along both axes is copied first, so it is symmetric too
+    d2 = pairwise_sq_dists(base[:d, ::2])
+    assert np.array_equal(d2, d2.T) and np.all(np.diag(d2) == 0.0)
+    assert np.allclose(d2, triu_mirror_sq_dists(base[:d, ::2]), rtol=1e-12,
+                       atol=1e-12 * np.max(d2, initial=0.0))
 
 
 def test_gram_matrix_rejects_asymmetry():

@@ -249,6 +249,103 @@ def test_cond_cells_match_dense_oracle_and_brute_null(seed, n, y_kind, z_kind, e
     assert rep.permutation_pvalue == (1 + hits) / (1 + permutations)
 
 
+def soft_columns(rng, k, n):
+    logits = rng.normal(size=(k, n))
+    return np.exp(logits) / np.exp(logits).sum(axis=0)
+
+
+def dyadic_soft_columns(rng, n):
+    """Soft 4-class columns with entries 1/2, 1/4, 1/8, 1/8 in random order.
+    Their squared distances are exact, so samples with equal columns also
+    get exactly equal rows of ``label_gram``, as the Gram route's label
+    check needs; general soft columns can differ there in the last bits."""
+    return np.stack([rng.permutation([0.5, 0.25, 0.125, 0.125]) for _ in range(n)],
+                    axis=1)
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 32),
+       y_kind=st.sampled_from(["one-hot", "soft", "continuous", "constant"]),
+       z_kind=st.sampled_from(["one-hot", "soft", "continuous", "constant"]),
+       epsilon=st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4]),
+       permutations=st.integers(1, 30))
+def test_features_route_matches_gram_route_and_dense_oracle(seed, n, y_kind, z_kind,
+                                                            epsilon, permutations):
+    # up to 4 classes x 3 domains at small n leaves empty classes (all-zero
+    # label rows) and singleton cells; one-hot domains are interchangeable
+    # cells; soft label columns are shared per class, soft domains and
+    # continuous blocks give one cell per sample
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(int(rng.integers(1, 4)), n))
+    if y_kind in ("one-hot", "soft"):
+        labels = rng.integers(0, int(rng.integers(1, 5)), size=n)
+        y = (one_hot(labels, 4) if y_kind == "one-hot"
+             else dyadic_soft_columns(rng, 4)[:, labels])
+    elif y_kind == "continuous":
+        labels = np.arange(n)
+        y = rng.normal(size=(2, n))
+    else:
+        labels = np.zeros(n, dtype=int)
+        y = np.ones((1, n))
+    if z_kind == "one-hot":
+        z = one_hot(rng.integers(0, int(rng.integers(1, 4)), size=n), 3)
+    elif z_kind == "soft":
+        z = soft_columns(rng, 3, n)
+    elif z_kind == "continuous":
+        z = rng.normal(size=(2, n))
+    else:
+        z = np.ones((1, n))
+
+    rep = cond_from_features(x, y, z, epsilon, labels=labels, permutations=permutations,
+                             seed=seed)
+    ky = label_gram(y)
+    kx = gram(x, KernelConfig.from_data(x))
+    via_grams = cond_from_blocks(kx, label_gram(z), ky, epsilon, labels=labels,
+                                 permutations=permutations, seed=seed)
+    expected = dense_cond_statistic(product_gram(kx, ky), product_gram(label_gram(z), ky),
+                                    ky, epsilon)
+    gap = abs(rep.statistic - via_grams.statistic)
+    assert gap <= 1e-11 * abs(via_grams.statistic) + 1e-15
+    # the dense path's own error is covered as in the Gram-route test above
+    assert abs(rep.statistic - expected) <= 1e-11 * abs(expected) + 1e-15 / epsilon
+    assert rep.permutation_pvalue == via_grams.permutation_pvalue
+    assert (rep.kind, rep.n, rep.epsilon) == (StatKind.COND, n, epsilon)
+
+
+@pytest.mark.parametrize("block,value,name", [
+    ("x", np.nan, "feature"), ("y", np.inf, "label"), ("z", -np.inf, "domain"),
+    ("y", "short", "label"), ("z", "short", "domain"),
+])
+def test_features_route_rejects_bad_blocks_by_name(block, value, name):
+    rng = np.random.default_rng(7)
+    blocks = {"x": rng.normal(size=(2, 12)), "y": one_hot(np.arange(12) % 3, 3),
+              "z": one_hot(np.arange(12) % 2, 2)}
+    if value == "short":
+        blocks[block] = blocks[block][:, :-1]
+    else:
+        blocks[block][0, 5] = value
+    with pytest.raises(InputError, match=name):
+        cond_from_features(blocks["x"], blocks["y"], blocks["z"], 1e-2)
+
+
+def test_features_route_rejects_a_label_class_with_mixed_label_columns():
+    x = random_features(4, n=12)
+    classes = np.arange(12) % 3
+    y, z = one_hot(classes, 3), one_hot(np.arange(12) % 2, 2)
+    merged = np.minimum(classes, 1)  # classes 1 and 2 share a label
+    with pytest.raises(InputError, match="labels"):
+        cond_from_features(x, y, z, 1e-2, labels=merged, permutations=5)
+    with pytest.raises(InputError, match="labels"):
+        cond_from_features(x, y, z, 1e-2, permutations=5)
+    with pytest.raises(InputError, match="labels"):
+        cond_from_features(x, y, z, 1e-2, labels=classes[:-1], permutations=5)
+    with pytest.raises(ConfigError):
+        cond_from_features(x, y, z, 0.0)
+    finer = np.arange(12) % 6  # splitting a class still fixes K_Y
+    assert cond_from_features(x, y, z, 1e-2, labels=finer,
+                              permutations=5).permutation_pvalue is not None
+
+
 def test_cond_statistic_exact_when_domain_is_a_function_of_the_label():
     # the 4-sample Z = Y instance of the gradient tests; the value comes from a
     # 50-digit evaluation of the dense formulas with the same bandwidths
@@ -276,6 +373,16 @@ def test_cond_null_is_all_ties_when_the_shuffled_gram_is_unchanged():
     rep = cond_from_features(x, np.ones((1, 3)), np.eye(3), 1e-2,
                              labels=np.zeros(3, dtype=int), permutations=20, seed=0)
     assert rep.permutation_pvalue == 1.0
+    # the same with up to 8 samples: these shuffles are evaluated, and many
+    # come out an ulp below the statistic, so the exact K_Zt check must count
+    # them (without it most of these p-values fall below 1)
+    for seed in range(3):
+        for n in (4, 5, 6, 8):
+            x = np.random.default_rng(seed).normal(size=(2, n))
+            rep = cond_from_features(x, np.ones((1, n)), np.eye(n), 1e-1,
+                                     labels=np.zeros(n, dtype=int), permutations=40,
+                                     seed=seed)
+            assert rep.permutation_pvalue == 1.0
 
 
 def test_cond_rejects_labels_coarser_than_the_label_gram():

@@ -3,7 +3,7 @@ import pytest
 
 from condadapt.data import SyntheticKind, SyntheticSpec, make_shifted_blobs
 from condadapt.errors import ConfigError, InputError, NumericalError
-from condadapt.gradients import cond_value
+from condadapt.gradients import cond_objective
 from condadapt.model import ModelParams, forward_pass, init_params, loss_ce
 from condadapt.trainer import (
     AdamConfig,
@@ -251,6 +251,24 @@ def test_adapt_epoch_names_failing_term():
         adapt_epoch(ds, cfg, params)
 
 
+def test_overflowing_adam_update_is_named_at_its_epoch():
+    # lr * m overflows for any gradient entry above 1.8 (summed cross-entropy
+    # gives several), so the first update makes parameters infinite; the error
+    # must name the update and its epoch, not the next epoch's cross-entropy
+    ds = separable_dataset()
+    cfg = quick_config()
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericalError, match="Adam update.*pretrain epoch 0"):
+            pretrain(ds, quick_config(learning_rate=1e308), init_params_for(ds, cfg))
+    params = init_params_for(ds, cfg)  # untrained, so gradients stay large
+    init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
+    state = AdamState.for_params(params)
+    params, _ = adapt_epoch(ds, cfg, params, state)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericalError, match="Adam update.*adaptation epoch 1"):
+            adapt_epoch(ds, quick_config(learning_rate=1e308), params, state)
+
+
 def test_aligned_domains_have_lower_cond_term():
     # paired comparison: identical source/target distributions versus a
     # shifted target, same seeds, one adaptation step each
@@ -348,14 +366,14 @@ def test_adaptation_reduces_cond_on_aligned_family():
         init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
         y_all = np.hstack([ds.source_labels, ds.pseudo_labels])
         z = ds.domain_matrix
-        before = cond_value(forward_pass(params, ds.features).xre, y_all, z,
-                            None, cfg.epsilon)
+        before = cond_objective(forward_pass(params, ds.features).xre, y_all, z,
+                                None, cfg.epsilon)[0]
         opt = AdamState.for_params(params)
         for _ in range(cfg.adapt_epochs):
             params, _ = adapt_epoch(ds, cfg, params, opt)
         y_all = np.hstack([ds.source_labels, ds.pseudo_labels])
-        after = cond_value(forward_pass(params, ds.features).xre, y_all, z,
-                           None, cfg.epsilon)
+        after = cond_objective(forward_pass(params, ds.features).xre, y_all, z,
+                               None, cfg.epsilon)[0]
         drops.append(before - after)
     assert np.median(drops) > 0
 
