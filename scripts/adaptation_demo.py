@@ -13,7 +13,7 @@ import numpy as np
 
 from condadapt.data import SyntheticKind, SyntheticSpec, make_shifted_blobs
 from condadapt.measures import a_distance, mmd
-from condadapt.model import forward_g
+from condadapt.model import forward_pass
 from condadapt.trainer import TrainConfig, fit, target_accuracy
 
 ARMS = {"baseline": (0.0, 0.0), "entropy-only": (0.0, 5e-3), "full": (5.0, 5e-3)}
@@ -28,7 +28,7 @@ def make_dataset(args, seed):
 
 
 def alignment(params, ds):
-    feats = forward_g(params, ds.features)
+    feats = forward_pass(params, ds.features).xre
     src, tgt = feats[:, : ds.n_source], feats[:, ds.n_source:]
     ys = ds.source_labels.argmax(axis=0)
     yt = ds.target_truth.argmax(axis=0)

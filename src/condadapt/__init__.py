@@ -45,8 +45,6 @@ from .gradients import (
 from .model import (
     LossBreakdown,
     ModelParams,
-    forward_c,
-    forward_g,
     init_params,
     load_params,
     loss_ce,

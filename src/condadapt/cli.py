@@ -19,7 +19,7 @@ import numpy as np
 from . import data as data_mod
 from . import measures
 from .errors import ConfigError, DegenerateDataError, InputError, NumericalError, ParseError
-from .model import forward_g, save_params
+from .model import forward_pass, save_params
 from .trainer import AdaptationDataset, PseudoLabelMode, TrainConfig, fit, target_accuracy
 
 _DATA_ERRORS = (InputError, ConfigError, DegenerateDataError, NumericalError,
@@ -297,7 +297,7 @@ def _cmd_sweep(args, parser) -> dict:
 
 def _alignment_stats(params, ds: AdaptationDataset, epsilon: float) -> dict:
     """Dependence between the learned representation and the domain."""
-    xre = forward_g(params, ds.features)
+    xre = forward_pass(params, ds.features).xre
     z = ds.domain_matrix
     if ds.target_truth is not None:
         y = np.hstack([ds.source_labels, ds.target_truth])

@@ -112,13 +112,14 @@ def _normalized_cells(m: np.ndarray, w: np.ndarray, ridge: float) -> np.ndarray:
 
 
 def cell_terms(cell: np.ndarray, my: np.ndarray | None, mzt: np.ndarray,
-               ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """V, W = V^T V and Q with S R_Zt S = V Q V^T, from the cell structure.
 
     ``cell`` gives each sample's cell, numbered 0 .. c-1 with none empty;
     ``my`` and ``mzt`` are the c x c label and extended-domain Grams over the
     cells, ``my`` None for a constant label kernel (R_Y = 0, so S = I), and
-    ``ridge`` is n * eps.
+    ``ridge`` is n * eps.  The fourth result lists the c - 1 cells that V's
+    columns indicate, in column order.
     """
     n = cell.shape[0]
     counts = np.bincount(cell).astype(float)
@@ -136,7 +137,7 @@ def cell_terms(cell: np.ndarray, my: np.ndarray | None, mzt: np.ndarray,
         t = ridge * np.linalg.inv(_contrast(my, keep, ref) @ w + ridge * np.eye(c - 1))
         q = t @ q @ t.T
         q = 0.5 * (q + q.T)
-    return v, w, q
+    return v, w, q, keep
 
 
 def cond_cells(xre: np.ndarray, y: np.ndarray, z: np.ndarray, cfgs: CondKernelConfig
@@ -196,7 +197,7 @@ def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
 
     kxt, cell, my, mzt = cond_cells(xre, y, z, cfgs)
     ridge = n * epsilon
-    v, w, q = cell_terms(cell, my, mzt, ridge)
+    v, w, q, _ = cell_terms(cell, my, mzt, ridge)
     factor = ridge_cholesky(kxt, ridge)
     p = scipy.linalg.cho_solve(factor, v, check_finite=False)
     p -= p.mean(axis=0)  # H P equals P in exact arithmetic

@@ -2,7 +2,7 @@
 
 Conventions: samples are columns, so a data matrix has shape (d, n).  All
 Gram-level operations work on exactly symmetric float64 matrices; symmetry is
-enforced by construction (one triangle computed, then mirrored), not by trust.
+enforced by construction (see ``pairwise_sq_dists``), not by trust.
 """
 
 from __future__ import annotations
@@ -167,9 +167,19 @@ def mean_sq_dist_bandwidth(x) -> float:
 
 
 def gram(x, cfg: KernelConfig) -> GramMatrix:
-    """Gaussian Gram matrix of x's columns; unit diagonal, exactly symmetric."""
-    d2 = pairwise_sq_dists(x)
-    return GramMatrix(np.exp(-d2 / cfg.bandwidth_sq))
+    """Gaussian Gram matrix of x's columns; unit diagonal, exactly symmetric.
+
+    Equal columns get exactly equal rows: the expanded distance of two equal
+    columns need not round to 0, so each column takes the rows of the first
+    column equal to it.  A Gram without equal columns is left as computed.
+    """
+    x = _as_columns(x)
+    k = np.exp(-pairwise_sq_dists(x) / cfg.bandwidth_sq)
+    _, first, cell = np.unique(x, axis=1, return_index=True, return_inverse=True)
+    if first.shape[0] < x.shape[1]:
+        rows = first[cell.ravel()]
+        k = k[np.ix_(rows, rows)]
+    return GramMatrix(k)
 
 
 def label_gram(m) -> GramMatrix:

@@ -11,29 +11,28 @@ extended blocks Xt = (X, Y), Zt = (Z, Y) use elementwise kernel products.
 Both are non-negative and shrink to zero under (conditional) independence as
 n grows with eps_n -> 0, eps_n^3 * n -> infinity.
 
-The conditional statistic goes through the cell algebra of
-``gradients.cell_terms``, S R_Zt S = V Q V^T with V the centred
-n x (c-1) indicator of the samples' cells.  ``cond_from_features`` takes the
-cells, the c distinct columns of the stacked (Y; Z) block, from the raw
-blocks with ``gradients.cond_cells``, the builder the training objective
-uses, so the only n x n Gram it forms is K_Xt.  ``cond`` takes Grams and
-groups samples whose rows of [K_Y | K_Zt] are equal.  With L the Cholesky
-factor of G_Xt + n*eps*I, the value is Tr(Q (W - n*eps*S^T S)),
-S = L^{-1} V.  A shuffle within the label classes fixes K_Y, K_Xt, W and Q
-and only permutes the rows of V, so the null replicates cost one batched
-triangular solve per block of them.  A shuffle that keeps every sample in
-its cell is a hit without being evaluated; an evaluated replicate just
-below the statistic is a hit when it leaves K_Zt unchanged entry for entry
-(shuffles between interchangeable cells), which is checked only for those.
-Each replicate costs O(n^2 (c-1)), so a continuous label or domain block
-(c = n) makes it O(n^3).  The plain and per-class statistics keep their
-dense normalizations and conjugate R_Z by each permutation.
+One core, ``_null_core``, computes every statistic and permutation
+replicate.  The plain statistic is the conditional one with a constant label
+kernel (R_Y = 0, so S = I); the per-class one runs the core per class.  It
+uses the cells of ``gradients.cell_terms``, S R_Zt S = V Q V^T: the distinct
+columns of the stacked (Y; Z) block (``cond_from_features``, as in training)
+or the distinct rows of [K_Y | K_Zt] (the Gram routes).  With
+B = (G_Xt + n*eps*I)^{-1} the value is Tr(Q (W - n*eps*V^T B V)).
+
+A shuffle within the label classes only permutes the rows of V, so a
+replicate needs V_pi^T B V_pi alone.  A cost model in n, c and the replicate
+count picks one of two exact evaluators: a batched triangular solve with the
+Cholesky factor, O(n^2 (c-1)) per replicate, or the c x c block sums of
+H B H over the permuted cell pairs, one ``np.bincount``, O(n^2) per
+replicate once B is formed.  A shuffle that keeps every sample in its cell,
+or leaves K_Zt unchanged entry for entry (checked for replicates within
+rounding of the statistic), is an exact tie and gets the statistic's value.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -51,16 +50,22 @@ from .kernels import (
     gram,
     is_constant_block,
     label_gram,
-    normalize,
     product_gram,
 )
 
-# Right-hand-side columns of one triangular solve in the conditional
-# permutation null.  A block holds as many replicates as fit (at least one),
-# so the workspace stays within n times this whatever the permutation count.
+# Right-hand-side columns per block of replicates (at least one replicate),
+# so the null's workspace stays within n times this.
 _BLOCK_COLUMNS = 256
-# A replicate whose value lies this close below the statistic (relative to
-# the larger of it and Tr(Q W), plus the floor) is checked for an exact tie.
+# Evaluator choice.  Per evaluation (each moved replicate and the statistic)
+# the triangular solve costs about n (c - 1) (n + 2 (c - 1)) flops, the solve
+# and the product with Q.  Block sums cost about n^3 once (dpotri's 2n^3/3
+# and the centring) and n^2 bincount entries per evaluation, each as slow as
+# this many flops of the solve.  Fitted with one BLAS thread (OpenBLAS 0.3.31,
+# 2-vCPU Intel Xeon) over n = 100-1000, c = 2-n and 1-200 permutations: the
+# chosen evaluator was never more than 1.21 times slower than the faster one.
+_BINCOUNT_FLOPS = 48
+# A replicate whose value lies this close to the statistic (relative to the
+# larger of it and Tr(Q W), plus the floor) is checked for an exact tie.
 _TIE_RTOL = 1e-9
 _TIE_ATOL = 1e-12
 
@@ -95,45 +100,17 @@ class AdistanceReport:
         return cls(2.0 * (1.0 - 2.0 * err), err, **kw)
 
 
-def _normalized_entries(k: GramMatrix, epsilon: float) -> np.ndarray:
-    return normalize(center(k), epsilon).entries
+def _pvalue(stat: float, null: np.ndarray) -> float | None:
+    """(1 + #{replicates >= stat}) / (1 + #replicates); None without replicates."""
+    if not null.shape[0]:
+        return None
+    return float((1 + np.count_nonzero(null >= stat)) / (1 + null.shape[0]))
 
 
-def _pvalue(null_geq: int, permutations: int) -> float:
-    return (1.0 + null_geq) / (1.0 + permutations)
-
-
-def nocco(kx: GramMatrix, kz: GramMatrix, epsilon: float, *,
-          permutations: int = 0, seed: int = 0) -> DependenceReport:
-    """Dependence statistic Tr(R_Z R_X) between two kernelized blocks.
-
-    With ``permutations`` > 0 a permutation p-value is attached; the null
-    shuffles the Z samples.  Shuffling Z's columns conjugates R_Z by the same
-    permutation, so replicates reuse the one normalized matrix.
-    """
-    if kx.n != kz.n:
-        raise InputError(f"sample-count mismatch {kx.n} vs {kz.n}")
-    n = kx.n
-    rx = _normalized_entries(kx, epsilon)
-    rz = _normalized_entries(kz, epsilon)
-    stat = float(np.sum(rz * rx))
-    pvalue = None
-    if permutations > 0:
-        hits = 0
-        for i in range(permutations):
-            perm = np.random.default_rng(seed + i).permutation(n)
-            if float(np.sum(rz[np.ix_(perm, perm)] * rx)) >= stat:
-                hits += 1
-        pvalue = _pvalue(hits, permutations)
-    return DependenceReport(stat, StatKind.NOCCO, n, float(epsilon), pvalue)
-
-
-def _gram_cells(ky: np.ndarray, kzt: np.ndarray) -> np.ndarray:
-    """Cell of each sample, numbered by first appearance: two samples share a
-    cell exactly when their rows of [K_Y | K_Zt] are equal."""
-    ids: dict[bytes, int] = {}
-    return np.array([ids.setdefault(a.tobytes() + b.tobytes(), len(ids))
-                     for a, b in zip(ky, kzt)], dtype=np.intp)
+def _finite_grams(**grams: GramMatrix):
+    for name, k in grams.items():
+        if not np.all(np.isfinite(k.entries)):
+            raise NumericalError(f"non-finite entries in {name}")
 
 
 def _null_classes(labels, rows: np.ndarray, what: str) -> list[np.ndarray]:
@@ -158,12 +135,15 @@ def _null_classes(labels, rows: np.ndarray, what: str) -> list[np.ndarray]:
     return classes
 
 
-def _within_class_permutation(classes: list[np.ndarray], n: int,
-                              rng: np.random.Generator) -> np.ndarray:
-    perm = np.arange(n)
-    for idx in classes:
-        perm[idx] = idx[rng.permutation(idx.shape[0])]
-    return perm
+def _shuffles(classes: list[np.ndarray], n: int, permutations: int, seed: int) -> np.ndarray:
+    """Column i shuffles each class's samples among themselves, one
+    ``rng.permutation`` per class in list order from ``default_rng(seed + i)``."""
+    perms = np.tile(np.arange(n)[:, None], (1, max(permutations, 0)))
+    for i in range(permutations):
+        rng = np.random.default_rng(seed + i)
+        for idx in classes:
+            perms[idx, i] = idx[rng.permutation(idx.shape[0])]
+    return perms
 
 
 def _same_domain_gram(cell: np.ndarray, perm: np.ndarray, mzt: np.ndarray) -> bool:
@@ -174,46 +154,79 @@ def _same_domain_gram(cell: np.ndarray, perm: np.ndarray, mzt: np.ndarray) -> bo
     return bool(np.array_equal(mzt[np.ix_(src, src)], mzt[np.ix_(dst, dst)]))
 
 
-def _cond_test(kxt: np.ndarray, cell: np.ndarray, my: np.ndarray | None,
-               mzt: np.ndarray, epsilon: float, classes: list[np.ndarray] | None,
-               permutations: int, seed: int) -> DependenceReport:
-    """Statistic and permutation null from K_Xt and the cells with their Grams
-    (see ``gradients.cond_cells``); ``classes`` is needed when permuting."""
-    n = cell.shape[0]
+def _null_core(kxt: np.ndarray, cell: np.ndarray, my: np.ndarray | None,
+               mzt: np.ndarray, epsilon: float,
+               perms: np.ndarray) -> tuple[float, np.ndarray]:
+    """Statistic and one replicate value per column of ``perms`` from K_Xt and
+    the cells with their Grams, as ``gradients.cond_cells`` returns them.
+    The statistic comes from the evaluator its replicates use."""
+    n, c = cell.shape[0], mzt.shape[0]
     ridge = n * epsilon
-    v, w, q = cell_terms(cell, my, mzt, ridge)
+    v, w, q, keep = cell_terms(cell, my, mzt, ridge)
     factor, _ = ridge_cholesky(kxt, ridge)
     base = float(np.sum(q * w))
+    # a shuffle that keeps every sample in its cell fixes K_Zt: a tie
+    moved = np.flatnonzero(np.any(cell[perms] != cell[:, None], axis=0))
+    evals = moved.shape[0] + 1
+    if n ** 3 + evals * _BINCOUNT_FLOPS * n * n < evals * (c - 1) * (n + 2 * (c - 1)) * n:
+        # V_pi^T B V_pi = U_pi'^T (H B H) U_pi': block sums over cell pairs
+        inv, info = scipy.linalg.lapack.dpotri(factor, lower=1)
+        if info != 0:
+            raise NumericalError(f"inverting the regularized Gram failed (info {info})")
+        hbh = np.tril(inv)
+        hbh += np.tril(inv, -1).T
+        hbh = center(hbh).ravel()
+        qc = np.zeros((c, c))
+        qc[np.ix_(keep, keep)] = q
 
-    def values(vs: np.ndarray) -> np.ndarray:
-        """Tr(Q (W - ne S^T S)), S = L^{-1} V_b, for each V_b = vs[:, b, :]."""
-        s = scipy.linalg.solve_triangular(factor, vs.reshape(n, -1), lower=True,
-                                          check_finite=False).reshape(vs.shape)
-        return base - ridge * np.einsum("nbi,nbi->b", s @ q, s)
+        def values_of(ps: np.ndarray) -> np.ndarray:
+            sums = [np.bincount(((cp * c)[:, None] + cp).ravel(), weights=hbh,
+                                minlength=c * c) for cp in cell[ps.T]]
+            return base - ridge * (np.array(sums) @ qc.ravel())
+    else:
+        def values_of(ps: np.ndarray) -> np.ndarray:
+            """Tr(Q (W - ne S^T S)), S = L^{-1} V_b, for each V_b = V[ps[:, b]]."""
+            vs = v[ps]
+            s = scipy.linalg.solve_triangular(factor, vs.reshape(n, -1), lower=True,
+                                              check_finite=False).reshape(vs.shape)
+            return base - ridge * np.einsum("nbi,nbi->b", s @ q, s)
 
-    stat = float(values(v[:, None, :])[0])
-    pvalue = None
-    if permutations > 0:
-        per_block = max(1, _BLOCK_COLUMNS // max(1, mzt.shape[0] - 1))
-        # an exact tie evaluates to the statistic up to rounding, far inside this
-        tie_tol = _TIE_RTOL * max(abs(stat), abs(base)) + _TIE_ATOL
-        hits = 0
-        for start in range(0, permutations, per_block):
-            perms = np.stack([
-                _within_class_permutation(classes, n, np.random.default_rng(seed + i))
-                for i in range(start, min(start + per_block, permutations))], axis=1)
-            # a shuffle that keeps every sample in its cell fixes K_Zt: a hit
-            moved = perms[:, np.any(cell[perms] != cell[:, None], axis=0)]
-            hits += perms.shape[1] - moved.shape[1]
-            if not moved.shape[1]:
-                continue
-            vals = values(v[moved])
-            hits += int(np.count_nonzero(vals >= stat))
-            # below the statistic only by rounding: a hit if K_Zt is unchanged
-            for j in np.flatnonzero((vals < stat) & (vals >= stat - tie_tol)):
-                hits += _same_domain_gram(cell, moved[:, j], mzt)
-        pvalue = _pvalue(hits, permutations)
-    return DependenceReport(stat, StatKind.COND, n, float(epsilon), pvalue)
+    stat = float(values_of(np.arange(n)[:, None])[0])
+    values = np.full(perms.shape[1], stat)
+    per_block = max(1, _BLOCK_COLUMNS // max(1, c - 1))
+    for start in range(0, moved.shape[0], per_block):
+        js = moved[start:start + per_block]
+        values[js] = values_of(perms[:, js])
+    # within rounding of the statistic: a tie if K_Zt is unchanged
+    tie_tol = _TIE_RTOL * max(abs(stat), abs(base)) + _TIE_ATOL
+    for j in moved[np.abs(values[moved] - stat) <= tie_tol]:
+        if _same_domain_gram(cell, perms[:, j], mzt):
+            values[j] = stat
+    return stat, values
+
+
+def _gram_null(kxt: np.ndarray, kzt: np.ndarray, ky: np.ndarray | None,
+               epsilon: float, perms: np.ndarray) -> tuple[float, np.ndarray]:
+    """``_null_core`` from n x n Grams, ``ky`` None for a constant label
+    kernel: two samples share a cell when their rows of [K_Y | K_Zt] are equal."""
+    rows = kzt if ky is None else np.hstack([ky, kzt])
+    ids: dict[bytes, int] = {}
+    cell = np.array([ids.setdefault(r.tobytes(), len(ids)) for r in rows], dtype=np.intp)
+    first = np.unique(cell, return_index=True)[1]
+    my = None if ky is None or is_constant_block(ky) else ky[np.ix_(first, first)]
+    return _null_core(kxt, cell, my, kzt[np.ix_(first, first)], epsilon, perms)
+
+
+def nocco(kx: GramMatrix, kz: GramMatrix, epsilon: float, *,
+          permutations: int = 0, seed: int = 0) -> DependenceReport:
+    """Dependence statistic Tr(R_Z R_X) between two kernelized blocks.
+
+    It is ``cond`` with a constant label kernel and one class holding every
+    sample: replicate i shuffles by ``default_rng(seed + i).permutation(n)``.
+    """
+    rep = cond(kx, kz, GramMatrix(np.ones((kx.n, kx.n))), epsilon,
+               labels=np.zeros(kx.n, dtype=int), permutations=permutations, seed=seed)
+    return replace(rep, kind=StatKind.NOCCO)
 
 
 def cond(kxt: GramMatrix, kzt: GramMatrix, ky: GramMatrix, epsilon: float, *,
@@ -230,16 +243,11 @@ def cond(kxt: GramMatrix, kzt: GramMatrix, ky: GramMatrix, epsilon: float, *,
     check_epsilon(epsilon)
     if not (kxt.n == kzt.n == ky.n):
         raise InputError(f"sample-count mismatch {kxt.n}, {kzt.n}, {ky.n}")
-    for name, k in (("K_Xt", kxt), ("K_Zt", kzt), ("K_Y", ky)):
-        if not np.all(np.isfinite(k.entries)):
-            raise NumericalError(f"non-finite entries in {name}")
-    classes = _null_classes(labels, ky.entries, "K_Y rows") if permutations > 0 else None
-    cell = _gram_cells(ky.entries, kzt.entries)
-    first = np.unique(cell, return_index=True)[1]
-    my = ky.entries[np.ix_(first, first)]
-    mzt = kzt.entries[np.ix_(first, first)]
-    return _cond_test(kxt.entries, cell, None if is_constant_block(my) else my, mzt,
-                      epsilon, classes, permutations, seed)
+    _finite_grams(K_Xt=kxt, K_Zt=kzt, K_Y=ky)
+    classes = _null_classes(labels, ky.entries, "K_Y rows") if permutations > 0 else []
+    stat, null = _gram_null(kxt.entries, kzt.entries, ky.entries, epsilon,
+                            _shuffles(classes, ky.n, permutations, seed))
+    return DependenceReport(stat, StatKind.COND, ky.n, float(epsilon), _pvalue(stat, null))
 
 
 def cond_from_blocks(kx: GramMatrix, kz: GramMatrix, ky: GramMatrix,
@@ -254,46 +262,39 @@ def per_class_nocco(kx: GramMatrix, kz: GramMatrix, labels, epsilon: float, *,
 
     A class is skipped (with a warning) when it has fewer than 2 samples or
     its restricted Z block is constant, i.e. only one domain is present.
+    Replicate i shuffles within every kept class, drawing from
+    ``default_rng(seed + i)`` in ``np.unique`` order.
     """
+    check_epsilon(epsilon)
     if kx.n != kz.n:
         raise InputError(f"sample-count mismatch {kx.n} vs {kz.n}")
     labels = np.asarray(labels).ravel()
     if labels.shape[0] != kx.n:
         raise InputError(f"labels length {labels.shape[0]} != sample count {kx.n}")
+    _finite_grams(K_X=kx, K_Z=kz)
 
-    blocks = []  # (class index array, n_c, R_Z restricted, R_X restricted, stat)
-    skipped = 0
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
-        sub_kz = kz.entries[np.ix_(idx, idx)]
-        if idx.shape[0] < 2 or np.ptp(sub_kz) <= 1e-15:
-            skipped += 1
-            continue
-        rz = _normalized_entries(GramMatrix(sub_kz), epsilon)
-        rx = _normalized_entries(GramMatrix(kx.entries[np.ix_(idx, idx)]), epsilon)
-        blocks.append((idx, idx.shape[0], rz, rx, float(np.sum(rz * rx))))
+    classes = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+    kept = [idx for idx in classes
+            if idx.shape[0] >= 2 and np.ptp(kz.entries[np.ix_(idx, idx)]) > 1e-15]
+    skipped = len(classes) - len(kept)
     if skipped:
         warnings.warn(f"per-class statistic skipped {skipped} class(es) with <2 samples "
                       "or a single domain", stacklevel=2)
-    if not blocks:
+    if not kept:
         raise DegenerateDataError("no class has at least 2 samples from at least 2 domains")
 
-    total = sum(nc for _, nc, _, _, _ in blocks)
-    stat = float(sum((nc / total) * s for _, nc, _, _, s in blocks))
-    pvalue = None
-    if permutations > 0:
-        hits = 0
-        for i in range(permutations):
-            rng = np.random.default_rng(seed + i)
-            rep = 0.0
-            for _, nc, rz, rx, _ in blocks:
-                perm = rng.permutation(nc)
-                rep += (nc / total) * float(np.sum(rz[np.ix_(perm, perm)] * rx))
-            if rep >= stat:
-                hits += 1
-        pvalue = _pvalue(hits, permutations)
+    perms = _shuffles(kept, kx.n, permutations, seed)
+    total = sum(idx.shape[0] for idx in kept)
+    # summed in class order, so a replicate that ties in every class ties exactly
+    stat, null = 0.0, np.zeros(perms.shape[1])
+    for idx in kept:
+        block = np.ix_(idx, idx)
+        s, values = _gram_null(kx.entries[block], kz.entries[block], None, epsilon,
+                               np.searchsorted(idx, perms[idx]))
+        stat += (idx.shape[0] / total) * s
+        null += (idx.shape[0] / total) * values
     return DependenceReport(stat, StatKind.PER_CLASS_NOCCO, kx.n, float(epsilon),
-                            pvalue, skipped)
+                            _pvalue(stat, null), skipped)
 
 
 def nocco_from_features(x, z, epsilon: float, **kw) -> DependenceReport:
@@ -315,9 +316,11 @@ def cond_from_features(x, y, z, epsilon: float, *, labels=None, permutations: in
     n = np.atleast_1d(x).shape[-1]
     x, y, z = (as_block(m, n, name) for m, name in ((x, "feature"), (y, "label"),
                                                       (z, "domain")))
-    classes = _null_classes(labels, y.T, "label columns") if permutations > 0 else None
+    classes = _null_classes(labels, y.T, "label columns") if permutations > 0 else []
     kxt, cell, my, mzt = cond_cells(x, y, z, CondKernelConfig.resolve(x, y, z))
-    return _cond_test(kxt, cell, my, mzt, epsilon, classes, permutations, seed)
+    stat, null = _null_core(kxt, cell, my, mzt, epsilon,
+                            _shuffles(classes, n, permutations, seed))
+    return DependenceReport(stat, StatKind.COND, n, float(epsilon), _pvalue(stat, null))
 
 
 def per_class_nocco_from_features(x, z, labels, epsilon: float, **kw) -> DependenceReport:

@@ -88,19 +88,6 @@ class ForwardState:
     probs: np.ndarray
 
 
-def forward_g(params: ModelParams, x) -> np.ndarray:
-    """Representation g(x): linear, ReLU, linear; no output activation."""
-    x = np.asarray(x, dtype=float)
-    pre = params.g_w1.T @ x + params.g_b1[:, None]
-    return params.g_w2.T @ np.maximum(pre, 0.0) + params.g_b2[:, None]
-
-
-def forward_c(params: ModelParams, xre) -> np.ndarray:
-    """Class probabilities: max-shifted softmax of the linear head."""
-    logits = params.c_w.T @ np.asarray(xre, dtype=float) + params.c_b[:, None]
-    return softmax_columns(logits)
-
-
 def softmax_columns(logits) -> np.ndarray:
     logits = np.asarray(logits, dtype=float)
     shifted = logits - logits.max(axis=0, keepdims=True)

@@ -24,7 +24,6 @@ from condadapt.measures import (
 )
 from condadapt.model import (
     backward_pass,
-    forward_g,
     forward_pass,
     loss_ce,
     loss_entropy,
@@ -252,7 +251,7 @@ def test_criterion_5_conditional_term_drives_the_adaptation_lift(study, capsys):
 
 def _class_alignment(params, ds):
     """Class-conditional discriminator distance and per-class discrepancy."""
-    feats = forward_g(params, ds.features)
+    feats = forward_pass(params, ds.features).xre
     src, tgt = feats[:, : ds.n_source], feats[:, ds.n_source:]
     ys = ds.source_labels.argmax(axis=0)
     yt = ds.target_truth.argmax(axis=0)

@@ -339,3 +339,23 @@ def test_label_gram_one_hot_blocks():
     off = math.exp(-2.0 / d2.mean())
     expected = np.array([[1.0, 1.0, off], [1.0, 1.0, off], [off, off, 1.0]])
     np.testing.assert_allclose(k, expected, rtol=1e-14)
+
+
+def test_label_gram_gives_equal_columns_equal_rows():
+    # softmax columns shared per class: their entries are not powers of two,
+    # so the expanded distance of two equal columns can round away from 0;
+    # samples with equal columns must still get exactly equal rows, and the
+    # Gram must equal the Gaussian one with the bandwidth fitted on all columns
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        logits = rng.normal(size=(4, 3))
+        cols = np.exp(logits) / np.exp(logits).sum(axis=0)
+        classes = rng.integers(0, 3, size=12)
+        y = cols[:, classes]
+        k = label_gram(y).entries
+        for c in np.unique(classes):
+            rows = k[classes == c]
+            assert np.all(rows == rows[0])
+        np.testing.assert_allclose(k, gram(y, KernelConfig.from_data(y)).entries,
+                                   rtol=1e-14, atol=1e-15)
+        assert np.array_equal(k, k.T)

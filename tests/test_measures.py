@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -83,8 +84,8 @@ def test_nocco_independent_null_not_rejected():
 
 
 def test_nocco_permutation_shortcut_matches_brute_rebuild():
-    # dual route: conjugating R_Z must equal rebuilding the Gram from permuted
-    # raw domain columns and renormalizing from scratch
+    # dual route: the null's shortcut must equal rebuilding the Gram from
+    # permuted raw domain columns and recomputing the statistic from scratch
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 60))
     z = one_hot(rng.integers(0, 2, size=60), 2)
@@ -107,6 +108,16 @@ def test_nocco_size_mismatch():
     k4 = GramMatrix(np.eye(4))
     with pytest.raises(InputError):
         nocco(k3, k4, 1e-3)
+
+
+def test_nocco_of_a_constant_domain_kernel_is_zero_with_p_one():
+    # one cell (c = 1): K_Z centers to 0, so R_Z = 0, and no shuffle moves
+    # a sample out of its cell
+    x = random_features(3, n=20)
+    kx = gram(x, KernelConfig.from_data(x))
+    rep = nocco(kx, GramMatrix(np.ones((20, 20))), 1e-2, permutations=30, seed=4)
+    assert rep.statistic == 0.0
+    assert rep.permutation_pvalue == 1.0
 
 
 # cond
@@ -255,17 +266,15 @@ def soft_columns(rng, k, n):
 
 
 def dyadic_soft_columns(rng, n):
-    """Soft 4-class columns with entries 1/2, 1/4, 1/8, 1/8 in random order.
-    Their squared distances are exact, so samples with equal columns also
-    get exactly equal rows of ``label_gram``, as the Gram route's label
-    check needs; general soft columns can differ there in the last bits."""
+    """Soft 4-class columns with entries 1/2, 1/4, 1/8, 1/8 in random order,
+    whose squared distances are exact."""
     return np.stack([rng.permutation([0.5, 0.25, 0.125, 0.125]) for _ in range(n)],
                     axis=1)
 
 
 @settings(deadline=None, max_examples=80)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 32),
-       y_kind=st.sampled_from(["one-hot", "soft", "continuous", "constant"]),
+       y_kind=st.sampled_from(["one-hot", "soft", "softmax", "continuous", "constant"]),
        z_kind=st.sampled_from(["one-hot", "soft", "continuous", "constant"]),
        epsilon=st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4]),
        permutations=st.integers(1, 30))
@@ -273,14 +282,18 @@ def test_features_route_matches_gram_route_and_dense_oracle(seed, n, y_kind, z_k
                                                             epsilon, permutations):
     # up to 4 classes x 3 domains at small n leaves empty classes (all-zero
     # label rows) and singleton cells; one-hot domains are interchangeable
-    # cells; soft label columns are shared per class, soft domains and
-    # continuous blocks give one cell per sample
+    # cells; soft label columns (dyadic or softmax) are shared per class,
+    # soft domains and continuous blocks give one cell per sample
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(int(rng.integers(1, 4)), n))
-    if y_kind in ("one-hot", "soft"):
+    if y_kind in ("one-hot", "soft", "softmax"):
         labels = rng.integers(0, int(rng.integers(1, 5)), size=n)
-        y = (one_hot(labels, 4) if y_kind == "one-hot"
-             else dyadic_soft_columns(rng, 4)[:, labels])
+        if y_kind == "one-hot":
+            y = one_hot(labels, 4)
+        elif y_kind == "soft":
+            y = dyadic_soft_columns(rng, 4)[:, labels]
+        else:
+            y = soft_columns(rng, 4, 4)[:, labels]
     elif y_kind == "continuous":
         labels = np.arange(n)
         y = rng.normal(size=(2, n))
@@ -466,6 +479,88 @@ def test_per_class_skips_thin_classes_with_warning():
     with pytest.warns(UserWarning, match="skipped"):
         rep = per_class_nocco(kx, label_gram(z), labels, 1e-3)
     assert rep.skipped_classes == 1
+
+
+def dense_plain_null(kx, kz, epsilon, perms):
+    """Dense plain statistic and null: Tr(R_Z R_X) from normalized Grams,
+    R_Z conjugated by each shuffle, with whether that shuffle leaves K_Z
+    unchanged entry for entry (an exact tie)."""
+    rx = normalize(center(kx), epsilon).entries
+    rz = normalize(center(kz), epsilon).entries
+    stat = float(np.sum(rz * rx))
+    reps = np.array([float(np.sum(rz[np.ix_(p, p)] * rx)) for p in perms])
+    ties = np.array([np.array_equal(kz[np.ix_(p, p)], kz) for p in perms], dtype=bool)
+    return stat, reps, ties
+
+
+def dense_per_class_null(kx, kz, labels, epsilon, permutations, seed):
+    """Dense per-class statistic and null: replicate i draws one permutation
+    per kept class, in ``np.unique`` order, from ``default_rng(seed + i)``;
+    a replicate ties when it ties in every class.  None if every class is
+    skipped."""
+    kept = [idx for idx in (np.flatnonzero(labels == c) for c in np.unique(labels))
+            if idx.shape[0] >= 2 and np.ptp(kz[np.ix_(idx, idx)]) > 1e-15]
+    if not kept:
+        return None
+    rngs = [np.random.default_rng(seed + i) for i in range(permutations)]
+    total = sum(idx.shape[0] for idx in kept)
+    stat, reps, ties = 0.0, np.zeros(permutations), np.ones(permutations, dtype=bool)
+    for idx in kept:
+        block = np.ix_(idx, idx)
+        s, r, t = dense_plain_null(kx[block], kz[block], epsilon,
+                                   [rng.permutation(idx.shape[0]) for rng in rngs])
+        stat += (idx.shape[0] / total) * s
+        reps += (idx.shape[0] / total) * r
+        ties &= t
+    return stat, reps, ties
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 32),
+       z_kind=st.sampled_from(["one-hot", "continuous", "constant"]),
+       classes=st.integers(1, 4), epsilon=st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4]),
+       permutations=st.integers(1, 30), evaluator=st.sampled_from(["solve", "sums"]))
+def test_plain_and_per_class_nulls_match_the_dense_nulls(seed, n, z_kind, classes,
+                                                         epsilon, permutations, evaluator):
+    # small n with up to 4 classes leaves thin and single-domain classes,
+    # which the per-class statistic skips; a constant Z is one cell
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(int(rng.integers(1, 4)), n))
+    labels = rng.integers(0, classes, size=n)
+    if z_kind == "one-hot":
+        z = one_hot(rng.integers(0, int(rng.integers(1, 4)), size=n), 3)
+    elif z_kind == "continuous":
+        z = rng.normal(size=(2, n))
+    else:
+        z = np.ones((1, n))
+    kx, kz = gram(x, KernelConfig.from_data(x)), label_gram(z)
+    oracle = dense_per_class_null(kx.entries, kz.entries, labels, epsilon, permutations,
+                                  seed)
+    # a huge bincount cost keeps the triangular solve, a hugely negative
+    # one the block sums, whatever n, c and the permutation count
+    cost = 10 ** 9 if evaluator == "solve" else -10 ** 9
+    per_class = None
+    with patch.object(measures, "_BINCOUNT_FLOPS", cost), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # skipped classes
+        plain = nocco(kx, kz, epsilon, permutations=permutations, seed=seed)
+        if oracle is None:
+            with pytest.raises(DegenerateDataError):
+                per_class_nocco(kx, kz, labels, epsilon, permutations=permutations,
+                                seed=seed)
+        else:
+            per_class = per_class_nocco(kx, kz, labels, epsilon,
+                                        permutations=permutations, seed=seed)
+
+    perms = [np.random.default_rng(seed + i).permutation(n) for i in range(permutations)]
+    checks = [(plain, dense_plain_null(kx.entries, kz.entries, epsilon, perms))]
+    if per_class is not None:
+        checks.append((per_class, oracle))
+    for rep, (stat, reps, ties) in checks:
+        # the dense path's own error is covered as in the conditional tests
+        assert abs(rep.statistic - stat) <= 1e-11 * abs(stat) + 1e-15 / epsilon
+        # an exact tie is a hit even where the dense sum rounded it below
+        hits = np.count_nonzero((reps >= stat) | ties)
+        assert rep.permutation_pvalue == (1 + hits) / (1 + permutations)
 
 
 def test_per_class_all_skipped_degenerate():

@@ -12,8 +12,6 @@ from condadapt.model import (
     ModelParams,
     backward_pass,
     entropy_grad_wrt_logits,
-    forward_c,
-    forward_g,
     forward_pass,
     init_params,
     load_params,
@@ -37,13 +35,18 @@ def zero_params(d=3, h=5, r=4, k=2):
                        np.zeros(r), np.zeros((r, k)), np.zeros(k))
 
 
+def head(params, xre):
+    """Class probabilities of the linear head on a given representation."""
+    return softmax_columns(params.c_w.T @ xre + params.c_b[:, None])
+
+
 # forward passes
 
 
 def test_forward_g_zero_params_zero_output():
     params = zero_params()
     x = np.random.default_rng(0).normal(size=(3, 7))
-    np.testing.assert_array_equal(forward_g(params, x), np.zeros((4, 7)))
+    np.testing.assert_array_equal(forward_pass(params, x).xre, np.zeros((4, 7)))
 
 
 def test_forward_g_identity_wiring_reproduces_nonnegative_input():
@@ -52,22 +55,22 @@ def test_forward_g_identity_wiring_reproduces_nonnegative_input():
     params = ModelParams(np.vstack([np.eye(d), np.zeros((0, d))]), np.zeros(d),
                          np.eye(d), np.zeros(d), np.zeros((d, 2)), np.zeros(2))
     x = np.abs(np.random.default_rng(1).normal(size=(d, 9)))
-    np.testing.assert_allclose(forward_g(params, x), x, rtol=1e-15)
+    np.testing.assert_allclose(forward_pass(params, x).xre, x, rtol=1e-15)
 
 
 def test_forward_g_single_column_matches_batch():
     params = init_params(3, 8, 4, 2, seed=5)
     x = np.random.default_rng(5).normal(size=(3, 6))
-    batched = forward_g(params, x)
+    batched = forward_pass(params, x).xre
     for j in range(6):
         # single-column and batched matmuls may differ by an ulp (gemv vs gemm)
-        np.testing.assert_allclose(forward_g(params, x[:, [j]])[:, 0],
+        np.testing.assert_allclose(forward_pass(params, x[:, [j]]).xre[:, 0],
                                    batched[:, j], atol=1e-14)
 
 
 def test_forward_c_uniform_on_zero_logits():
     params = zero_params(k=4, r=4)
-    probs = forward_c(params, np.zeros((4, 5)))
+    probs = head(params, np.zeros((4, 5)))
     np.testing.assert_allclose(probs, 0.25 * np.ones((4, 5)), rtol=1e-15)
 
 
@@ -84,7 +87,7 @@ def test_softmax_survives_huge_logits():
 def test_forward_c_columns_are_distributions(seed):
     params = init_params(3, 6, 4, 3, seed=seed)
     x = np.random.default_rng(seed).normal(size=(3, 8), scale=3.0)
-    probs = forward_c(params, forward_g(params, x))
+    probs = forward_pass(params, x).probs
     assert np.all(probs > 0)
     np.testing.assert_allclose(probs.sum(axis=0), np.ones(8), atol=1e-12)
 
@@ -183,9 +186,9 @@ def test_ce_gradient_matches_finite_differences():
     ys = one_hot(rng.integers(0, 3, size=12), 3)
 
     def objective(m):
-        return loss_ce(forward_c(params, m), ys)
+        return loss_ce(head(params, m), ys)
 
-    probs = forward_c(params, xre)
+    probs = head(params, xre)
     grad = params.c_w @ (probs - ys)
     rep = finite_diff_check(objective, xre, grad, probes=48)
     assert rep.max_rel_error < 1e-6
@@ -197,9 +200,9 @@ def test_entropy_gradient_matches_finite_differences():
     xre = rng.normal(size=(4, 12))
 
     def objective(m):
-        return loss_entropy(forward_c(params, m))
+        return loss_entropy(head(params, m))
 
-    probs = forward_c(params, xre)
+    probs = head(params, xre)
     grad = params.c_w @ entropy_grad_wrt_logits(probs)
     rep = finite_diff_check(objective, xre, grad, probes=48)
     assert rep.max_rel_error < 1e-6
