@@ -14,7 +14,7 @@ import numpy as np
 from condadapt.data import SyntheticKind, SyntheticSpec, make_shifted_blobs
 from condadapt.measures import a_distance, mmd
 from condadapt.model import forward_pass
-from condadapt.trainer import TrainConfig, fit, target_accuracy
+from condadapt.trainer import TrainConfig, fit, init_params_for, pretrain, target_accuracy
 
 ARMS = {"baseline": (0.0, 0.0), "entropy-only": (0.0, 5e-3), "full": (5.0, 5e-3)}
 
@@ -57,6 +57,7 @@ def main(argv=None):
     align = {"before": [], "after": []}
     for trial in range(args.trials):
         seed = args.seed + trial
+        pretrained = None  # the arms differ only in loss weights, so they share it
         for arm, (b1, b2) in ARMS.items():
             ds = make_dataset(args, seed)
             cfg = TrainConfig(beta1=b1, beta2=b2, epsilon=1e-4,
@@ -64,15 +65,11 @@ def main(argv=None):
                               adapt_epochs=args.adapt_epochs,
                               learning_rate=2e-3, seed=seed,
                               hidden_units=256, rep_dim=128)
+            if pretrained is None:
+                pretrained = pretrain(ds, cfg, init_params_for(ds, cfg))
             if arm == "full":
-                probe = make_dataset(args, seed)
-                pre_cfg = TrainConfig(beta1=b1, beta2=b2, epsilon=1e-4,
-                                      pretrain_epochs=args.pretrain_epochs,
-                                      adapt_epochs=0, learning_rate=2e-3,
-                                      seed=seed, hidden_units=256, rep_dim=128)
-                pre_params, _ = fit(probe, pre_cfg)
-                align["before"].append(alignment(pre_params, probe))
-            params, _ = fit(ds, cfg)
+                align["before"].append(alignment(pretrained[0], ds))
+            params, _ = fit(ds, cfg, pretrained)
             acc[arm].append(target_accuracy(params, ds))
             if arm == "full":
                 align["after"].append(alignment(params, ds))

@@ -49,7 +49,6 @@ from .model import (
     load_params,
     loss_ce,
     loss_entropy,
-    loss_total,
     save_params,
 )
 from .trainer import (

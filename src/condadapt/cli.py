@@ -20,7 +20,8 @@ from . import data as data_mod
 from . import measures
 from .errors import ConfigError, DegenerateDataError, InputError, NumericalError, ParseError
 from .model import forward_pass, save_params
-from .trainer import AdaptationDataset, PseudoLabelMode, TrainConfig, fit, target_accuracy
+from .trainer import (AdaptationDataset, PseudoLabelMode, TrainConfig, fit, init_params_for,
+                      pretrain, target_accuracy)
 
 _DATA_ERRORS = (InputError, ConfigError, DegenerateDataError, NumericalError,
                 ParseError, OSError)
@@ -120,24 +121,13 @@ def _synthetic_spec(args, seed: int) -> data_mod.SyntheticSpec:
 
 def _triple_from_args(args, seed: int):
     """(X, Y, Z) plus the dataset when one exists (None for chain synthetics)."""
-    if args.input is not None:
-        ds = data_mod.load_features(args.input)
-        return _triple_from_dataset(ds), ds
-    spec = _synthetic_spec(args, seed)
-    if spec.kind is data_mod.SyntheticKind.CONDITIONAL_CHAIN:
-        return data_mod.make_conditional_chain(spec), None
-    if spec.kind is data_mod.SyntheticKind.SHIFTED_BLOBS:
-        ds = data_mod.make_shifted_blobs(spec)
-    else:
-        ds = data_mod.make_rotated_moons(spec)
-    return _triple_from_dataset(ds), ds
-
-
-def _triple_from_dataset(ds: AdaptationDataset):
-    y = None
-    if ds.target_truth is not None:
-        y = np.hstack([ds.source_labels, ds.target_truth])
-    return ds.features, y, ds.domain_matrix
+    if args.input is None:
+        spec = _synthetic_spec(args, seed)
+        if spec.kind is data_mod.SyntheticKind.CONDITIONAL_CHAIN:
+            return data_mod.make_conditional_chain(spec), None
+    ds = _dataset_from_args(args, seed, None)
+    y = None if ds.target_truth is None else np.hstack([ds.source_labels, ds.target_truth])
+    return (ds.features, y, ds.domain_matrix), ds
 
 
 def _dataset_from_args(args, seed: int, parser) -> AdaptationDataset:
@@ -221,14 +211,17 @@ def _trial_seeds(args, parser) -> list[int]:
     return [args.seed + t for t in range(args.trials)]
 
 
-def _run_trials(args, parser, beta1=None, beta2=None, epsilon=None):
+def _run_trials(args, parser, pretrained: dict, beta1=None, beta2=None, epsilon=None):
     """Fit once per trial seed (also the data seed, for synthetics) and collect
-    accuracies; every call runs the same seeds, so its arms are paired."""
+    accuracies; every call runs the same seeds, so its arms are paired.  Arms
+    share ``pretrained`` (seed -> pretraining), which reads no loss weight."""
     results = []
     for seed in _trial_seeds(args, parser):
         ds = _dataset_from_args(args, seed, parser)
         cfg = _train_config(args, seed, beta1, beta2, epsilon)
-        params, _ = fit(ds, cfg)
+        if seed not in pretrained:
+            pretrained[seed] = pretrain(ds, cfg, init_params_for(ds, cfg))
+        params, _ = fit(ds, cfg, pretrained[seed])
         results.append((params, ds, target_accuracy(params, ds)))
     return results
 
@@ -243,13 +236,14 @@ def _mean_stderr(values) -> tuple[float | None, float | None]:
 
 
 def _cmd_train(args, parser) -> dict:
-    runs = _run_trials(args, parser)
+    pretrained: dict = {}
+    runs = _run_trials(args, parser, pretrained)
     accs = [acc for _, _, acc in runs]
     mean, stderr = _mean_stderr(accs)
     results: dict = {"per_trial_accuracy": accs, "accuracy_mean": mean,
                      "accuracy_stderr": stderr}
     if args.baseline:
-        base = _run_trials(args, parser, beta1=0.0, beta2=0.0)
+        base = _run_trials(args, parser, pretrained, beta1=0.0, beta2=0.0)
         b_accs = [acc for _, _, acc in base]
         b_mean, b_stderr = _mean_stderr(b_accs)
         deltas = [None if (a is None or b is None) else a - b
@@ -281,9 +275,9 @@ def _cmd_sweep(args, parser) -> dict:
     eps_grid = ([args.epsilon] if args.epsilon_grid is None
                 else _parse_grid(args.epsilon_grid, "--epsilon-grid", parser))
     cells = sorted((b1, b2, e) for b1 in b1s for b2 in b2s for e in eps_grid)
-    rows = []
+    rows, pretrained = [], {}
     for b1, b2, eps in cells:
-        runs = _run_trials(args, parser, beta1=b1, beta2=b2, epsilon=eps)
+        runs = _run_trials(args, parser, pretrained, beta1=b1, beta2=b2, epsilon=eps)
         mean, stderr = _mean_stderr([acc for _, _, acc in runs])
         params, ds, _ = runs[0]
         rows.append({"beta1": b1, "beta2": b2, "epsilon": eps,

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError, ParseError
-from .gradients import CondKernelConfig, cond_objective
+from .errors import InputError, ParseError
 
 LOG_CLAMP = 1e-12
 
@@ -155,36 +154,6 @@ def entropy_grad_wrt_logits(probs) -> np.ndarray:
     logp = np.log(np.maximum(probs, LOG_CLAMP))
     ent = -np.sum(probs * logp, axis=0, keepdims=True)
     return -probs * (logp + ent)
-
-
-def loss_total(xs, ys, xt, pseudo_labels, z, params: ModelParams,
-               beta1: float, beta2: float, epsilon: float,
-               cfgs: CondKernelConfig | None = None) -> LossBreakdown:
-    """Full adaptation objective ce + beta1 * cond + beta2 * ent.
-
-    ``xs``/``ys`` hold all labeled source columns (multi-source sums
-    concatenate, so N sources and their merge are the same objective) and
-    ``z`` the per-sample domain indicators.  A term with zero weight is not
-    evaluated and is recorded as 0.
-    """
-    xs = np.asarray(xs, dtype=float)
-    xt = np.asarray(xt, dtype=float)
-    if pseudo_labels is None:
-        raise InputError("pseudo-labels are not initialized")
-    x_all = np.hstack([xs, xt])
-    ns = xs.shape[1]
-    state = forward_pass(params, x_all)
-    ce = loss_ce(state.probs[:, :ns], ys)
-    ent = loss_entropy(state.probs[:, ns:]) if beta2 != 0.0 else 0.0
-    cond_term = 0.0
-    if beta1 != 0.0:
-        y_all = np.hstack([np.asarray(ys, dtype=float),
-                           np.asarray(pseudo_labels, dtype=float)])
-        cond_term, _ = cond_objective(state.xre, y_all, z, cfgs, epsilon)
-    breakdown = LossBreakdown(ce, cond_term, ent, float(beta1), float(beta2))
-    if not np.isfinite(breakdown.total):
-        raise NumericalError("loss is non-finite")
-    return breakdown
 
 
 def save_params(params: ModelParams, path):

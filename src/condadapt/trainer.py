@@ -5,11 +5,17 @@ cross-entropy, initialize target pseudo-labels from its predictions, then
 repeat full-batch steps on the total objective followed by a pseudo-label
 refresh from the just-updated model.  Everything is deterministic given the
 config seed; the only randomness is the parameter initialization.
+
+An adaptation step runs one forward pass, after its update: its target columns
+set the pseudo-labels and answer the next ``target_accuracy``, and the next step
+on the same ``AdamState`` reuses it.  The reuse is keyed on the arrays, so
+``adapt_epoch`` and ``fit`` return read-only parameters (``copy()`` to edit),
+and a dataset's arrays are replaced, never edited in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -90,6 +96,8 @@ class AdaptationDataset:
     target: np.ndarray
     pseudo_labels: np.ndarray | None = None
     target_truth: np.ndarray | None = None
+    # (forward inputs, target argmax) of the last adaptation step
+    _last_step: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.sources:
@@ -151,12 +159,7 @@ class AdaptationDataset:
     def domain_matrix(self) -> np.ndarray:
         """One-hot (num_sources + 1, n) block: sources in order, then target."""
         counts = [x.shape[1] for x, _ in self.sources] + [self.n_target]
-        z = np.zeros((len(counts), sum(counts)))
-        start = 0
-        for row, c in enumerate(counts):
-            z[row, start:start + c] = 1.0
-            start += c
-        return z
+        return np.repeat(np.eye(len(counts)), counts, axis=1)
 
 
 @dataclass
@@ -172,6 +175,12 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
+    scratch: list[np.ndarray] = field(init=False, repr=False)
+    # (forward inputs, ForwardState, dataset) of the last adaptation step
+    carried: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = [np.empty_like(m) for m in self.m]
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
@@ -181,16 +190,17 @@ class AdamState:
 
 def adam_step(params: ModelParams, grads: list[np.ndarray], state: AdamState,
               lr: float, cfg: AdamConfig):
-    """One in-place adaptive moment update over all parameter arrays."""
+    """One in-place adaptive moment update over all parameter arrays, via ``state.scratch``."""
     state.t += 1
     c1 = 1.0 - cfg.beta1 ** state.t
     c2 = 1.0 - cfg.beta2 ** state.t
-    for a, g, m, v in zip(params.arrays(), grads, state.m, state.v):
+    for a, g, m, v, s in zip(params.arrays(), grads, state.m, state.v, state.scratch):
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += np.multiply(1.0 - cfg.beta1, g, out=s)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        a -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        v += np.multiply(np.multiply(1.0 - cfg.beta2, g, out=s), g, out=s)
+        np.add(np.sqrt(np.divide(v, c2, out=s), out=s), cfg.eps, out=s)
+        a -= np.divide(lr * (m / c1), s, out=s)
 
 
 def _check_update(params: ModelParams, where: str):
@@ -198,12 +208,25 @@ def _check_update(params: ModelParams, where: str):
         raise NumericalError(f"Adam update produced non-finite parameters at {where}")
 
 
+def _forward_inputs(params: ModelParams, dataset: AdaptationDataset) -> tuple:
+    return (*params.arrays(), *(x for x, _ in dataset.sources), dataset.target)
+
+
+def _reusable(record: tuple | None, params: ModelParams, dataset: AdaptationDataset) -> bool:
+    """Whether ``record[0]`` holds these very arrays, the parameters still read-only
+    (it keeps its arrays alive, so equal ids mean the same arrays)."""
+    return (record is not None and not any(a.flags.writeable for a in params.arrays())
+            and list(map(id, record[0])) == list(map(id, _forward_inputs(params, dataset))))
+
+
 def target_accuracy(params: ModelParams, dataset: AdaptationDataset) -> float | None:
     """Fraction of target predictions matching the evaluation labels, if any."""
     if dataset.target_truth is None:
         return None
-    probs = forward_pass(params, dataset.target).probs
-    pred = probs.argmax(axis=0)
+    if _reusable(dataset._last_step, params, dataset):  # the step that returned params
+        pred = dataset._last_step[1]
+    else:
+        pred = forward_pass(params, dataset.target).probs.argmax(axis=0)
     truth = dataset.target_truth.argmax(axis=0)
     return float(np.mean(pred == truth))
 
@@ -240,15 +263,13 @@ def pretrain(dataset: AdaptationDataset, config: TrainConfig,
 def init_pseudo_labels(dataset: AdaptationDataset, params: ModelParams,
                        mode: PseudoLabelMode = PseudoLabelMode.HARD) -> AdaptationDataset:
     """Set target pseudo-labels from the model's current predictions."""
-    dataset.pseudo_labels = _predict_labels(params, dataset.target, mode)
+    dataset.pseudo_labels = _pseudo_labels(forward_pass(params, dataset.target).probs, mode)
     return dataset
 
 
-def _predict_labels(params: ModelParams, xt: np.ndarray,
-                    mode: PseudoLabelMode) -> np.ndarray:
-    probs = forward_pass(params, xt).probs
+def _pseudo_labels(probs: np.ndarray, mode: PseudoLabelMode) -> np.ndarray:
     if mode is PseudoLabelMode.SOFT:
-        return probs
+        return probs.copy()
     # argmax breaks ties toward the lowest class index
     hard = np.zeros_like(probs)
     hard[probs.argmax(axis=0), np.arange(probs.shape[1])] = 1.0
@@ -260,19 +281,21 @@ def adapt_epoch(dataset: AdaptationDataset, config: TrainConfig,
                 opt_state: AdamState | None = None) -> tuple[ModelParams, LossBreakdown]:
     """One full-batch step on the total objective, then a pseudo-label refresh.
 
-    The loss breakdown reports the values that produced the step's gradient,
-    i.e. before the update.  Terms with zero weight are skipped and recorded
-    as 0.  A non-finite term aborts with the offending loss named.
+    Returns new, read-only parameters and the loss terms that produced the
+    step's gradient, i.e. before the update.  Terms with zero weight are skipped
+    and recorded as 0.  A non-finite term aborts with the offending loss named.
     """
     if dataset.pseudo_labels is None:
         raise InputError("initialize pseudo-labels before adaptation")
-    params = params.copy()
     if opt_state is None:
         opt_state = AdamState.for_params(params)
+    carried = opt_state.carried  # looked up before the copy, whose arrays are new
+    reuse = _reusable(carried, params, dataset) and carried[2] is dataset
+    st = carried[1] if reuse else forward_pass(params, dataset.features)
+    params = params.copy()
 
     ns = dataset.n_source
     ys = dataset.source_labels
-    st = forward_pass(params, dataset.features)
     probs_s, probs_t = st.probs[:, :ns], st.probs[:, ns:]
 
     ce = loss_ce(probs_s, ys)
@@ -305,15 +328,28 @@ def adapt_epoch(dataset: AdaptationDataset, config: TrainConfig,
     adam_step(params, grads, opt_state, config.learning_rate, config.adam)
     # the optimizer counts steps; in ``fit`` step t is adaptation epoch t - 1
     _check_update(params, f"adaptation epoch {opt_state.t - 1}")
-    dataset.pseudo_labels = _predict_labels(params, dataset.target,
-                                            config.pseudo_label_mode)
+    for a in params.arrays():
+        a.setflags(write=False)
+    # the old state lives until this one exists, so its pages are not re-faulted
+    st = forward_pass(params, dataset.features)
+    inputs = _forward_inputs(params, dataset)
+    opt_state.carried = (inputs, st, dataset)
+    probs_t = st.probs[:, ns:]
+    dataset.pseudo_labels = _pseudo_labels(probs_t, config.pseudo_label_mode)
+    dataset._last_step = (inputs, probs_t.argmax(axis=0))
     return params, LossBreakdown(ce, cond_term, ent, config.beta1, config.beta2)
 
 
-def fit(dataset: AdaptationDataset, config: TrainConfig) -> tuple[ModelParams, TrainTrace]:
-    """Pre-train, initialize pseudo-labels, then adapt for the configured epochs."""
-    params = init_params_for(dataset, config)
-    params, trace = pretrain(dataset, config, params)
+def fit(dataset: AdaptationDataset, config: TrainConfig,
+        pretrained: tuple[ModelParams, TrainTrace] | None = None) -> tuple[ModelParams, TrainTrace]:
+    """Pre-train (or take ``pretrained``, ``pretrain``'s result for a config that
+    differs at most in beta1, beta2 and epsilon), set pseudo-labels, then adapt;
+    the trace's pretraining records carry this config's loss weights."""
+    if pretrained is None:
+        pretrained = pretrain(dataset, config, init_params_for(dataset, config))
+    params, pre_trace = pretrained
+    trace = TrainTrace([replace(b, beta1=config.beta1, beta2=config.beta2)
+                        for b in pre_trace.losses], list(pre_trace.target_accuracy))
     init_pseudo_labels(dataset, params, config.pseudo_label_mode)
     opt_state = AdamState.for_params(params)
     for _ in range(config.adapt_epochs):

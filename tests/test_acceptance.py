@@ -27,7 +27,6 @@ from condadapt.model import (
     forward_pass,
     loss_ce,
     loss_entropy,
-    loss_total,
     softmax_columns,
     entropy_grad_wrt_logits,
 )
@@ -209,22 +208,24 @@ class AdaptationStudy:
         self.accuracy = {arm: [] for arm in ARMS}
         self.snapshots = []  # (dataset, pretrained, adapted) for the full arm
         for seed in range(10):
+            # pretraining reads none of the arms' weights, so they share it
+            ds, cfg = _blob_dataset(seed), _blob_config(seed, 0.0, 0.0)
+            pretrained = pretrain(ds, cfg, init_params_for(ds, cfg))
             for arm, (b1, b2) in ARMS.items():
                 ds = _blob_dataset(seed)
                 cfg = _blob_config(seed, b1, b2)
                 if arm == "full":
-                    params = init_params_for(ds, cfg)
-                    params, _ = pretrain(ds, cfg, params)
-                    before = params
+                    params = before = pretrained[0]
                     init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
                     opt = AdamState.for_params(params)
                     for _ in range(cfg.adapt_epochs):
                         params, _ = adapt_epoch(ds, cfg, params, opt)
                     self.snapshots.append((ds, before, params))
                 else:
-                    params, _ = fit(ds, cfg)
+                    params, _ = fit(ds, cfg, pretrained)
                 self.accuracy[arm].append(target_accuracy(params, ds))
-        # the staged loop above must be the packaged driver, bit for bit
+        # the staged loop on shared pretraining must be the packaged driver,
+        # bit for bit
         check, _ = fit(_blob_dataset(0), _blob_config(0, *ARMS["full"]))
         assert params_equal(check, self.snapshots[0][2])
         self.elapsed = time.monotonic() - start
@@ -388,8 +389,7 @@ def test_criterion_8_invariance_suite(capsys):
     cfg = _blob_config(0, 0.05, 5e-3)
     params = init_params_for(ds, cfg)
     init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
-    bd = loss_total(ds.source_features, ds.source_labels, ds.target,
-                    ds.pseudo_labels, ds.domain_matrix, params, 0.05, 5e-3, eps)
+    _, bd = adapt_epoch(ds, replace(cfg, epsilon=eps), params)
     breakdown_ok = bd.total == bd.ce + 0.05 * bd.cond + 5e-3 * bd.ent
 
     elapsed = time.monotonic() - start

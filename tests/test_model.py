@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condadapt.errors import InputError, ParseError
-from condadapt.gradients import finite_diff_check
+from condadapt.gradients import cond_objective, finite_diff_check
 from condadapt.model import (
     LossBreakdown,
     ModelParams,
@@ -17,10 +17,10 @@ from condadapt.model import (
     load_params,
     loss_ce,
     loss_entropy,
-    loss_total,
     save_params,
     softmax_columns,
 )
+from condadapt.trainer import AdaptationDataset, TrainConfig, adapt_epoch
 
 
 def one_hot(labels, k):
@@ -133,6 +133,12 @@ def test_loss_breakdown_identity_is_construction():
     assert bd.total == 1.37 + 0.05 * 0.21 + 0.003 * 4.9
 
 
+def step_breakdown(xs, ys, xt, pseudo, params, beta1, beta2, epsilon):
+    """Loss terms of one adaptation step, which reports them before its update."""
+    ds = AdaptationDataset(sources=[(xs, ys)], target=xt, pseudo_labels=pseudo)
+    return adapt_epoch(ds, TrainConfig(beta1=beta1, beta2=beta2, epsilon=epsilon), params)[1]
+
+
 def test_loss_total_switches_off_terms():
     rng = np.random.default_rng(6)
     params = init_params(2, 6, 4, 2, seed=6)
@@ -140,14 +146,11 @@ def test_loss_total_switches_off_terms():
     ys = one_hot(rng.integers(0, 2, size=10), 2)
     xt = rng.normal(size=(2, 8)) + 1.0
     pseudo = one_hot(rng.integers(0, 2, size=8), 2)
-    z = np.zeros((2, 18))
-    z[0, :10] = 1.0
-    z[1, 10:] = 1.0
-    bd = loss_total(xs, ys, xt, pseudo, z, params, 0.0, 0.0, 1e-3)
+    bd = step_breakdown(xs, ys, xt, pseudo, params, 0.0, 0.0, 1e-3)
     assert bd.cond == 0.0 and bd.ent == 0.0
     assert bd.total == bd.ce
 
-    full = loss_total(xs, ys, xt, pseudo, z, params, 0.01, 0.005, 1e-3)
+    full = step_breakdown(xs, ys, xt, pseudo, params, 0.01, 0.005, 1e-3)
     assert full.ce == bd.ce
     assert full.cond > 0.0 and full.ent > 0.0
     assert full.total == full.ce + 0.01 * full.cond + 0.005 * full.ent
@@ -161,8 +164,9 @@ def test_loss_total_constant_domain_kills_cond():
     xt = rng.normal(size=(2, 8))
     pseudo = one_hot(rng.integers(0, 2, size=8), 2)
     z = np.ones((1, 18))
-    bd = loss_total(xs, ys, xt, pseudo, z, params, 0.5, 0.0, 1e-3)
-    assert bd.cond == 0.0
+    xre = forward_pass(params, np.hstack([xs, xt])).xre
+    cond, _ = cond_objective(xre, np.hstack([ys, pseudo]), z, None, 1e-3)
+    assert cond == 0.0
 
 
 def test_loss_total_requires_pseudo_labels():
@@ -171,9 +175,8 @@ def test_loss_total_requires_pseudo_labels():
     xs = rng.normal(size=(2, 10))
     ys = one_hot(rng.integers(0, 2, size=10), 2)
     xt = rng.normal(size=(2, 8))
-    z = np.ones((2, 18))
     with pytest.raises(InputError):
-        loss_total(xs, ys, xt, None, z, params, 0.1, 0.1, 1e-3)
+        step_breakdown(xs, ys, xt, None, params, 0.1, 0.1, 1e-3)
 
 
 # analytic gradients of the classification losses

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
 
+from condadapt import trainer
 from condadapt.data import SyntheticKind, SyntheticSpec, make_shifted_blobs
 from condadapt.errors import ConfigError, InputError, NumericalError
-from condadapt.gradients import cond_objective
-from condadapt.model import ModelParams, forward_pass, init_params, loss_ce
+from condadapt.gradients import CondKernelConfig, cond_objective
+from condadapt.model import (
+    LossBreakdown,
+    ModelParams,
+    backward_pass,
+    entropy_grad_wrt_logits,
+    forward_pass,
+    init_params,
+    loss_ce,
+    loss_entropy,
+)
 from condadapt.trainer import (
     AdamConfig,
     AdamState,
@@ -396,3 +406,187 @@ def test_adam_step_moves_toward_minimum():
     for old, new in zip(before, params.arrays()):
         assert np.all(new < old)
     assert state.t == 1
+
+
+# one forward pass per adaptation step
+
+
+def count_forwards(monkeypatch):
+    """Patch the trainer's forward pass with a counting wrapper."""
+    calls = []
+
+    def counted(params, x):
+        calls.append(x.shape[1])
+        return forward_pass(params, x)
+
+    monkeypatch.setattr(trainer, "forward_pass", counted)
+    return calls
+
+
+def steady_state():
+    """A dataset, config, parameters and optimizer state after one adaptation step."""
+    ds = blob_dataset(seed=3)
+    cfg = quick_config(beta1=0.05, beta2=0.01)
+    params, _ = pretrain(ds, cfg, init_params_for(ds, cfg))
+    init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
+    state = AdamState.for_params(params)
+    params, _ = adapt_epoch(ds, cfg, params, state)
+    return ds, cfg, params, state
+
+
+def plain_accuracy(params, ds):
+    pred = forward_pass(params, ds.target).probs.argmax(axis=0)
+    return float(np.mean(pred == ds.target_truth.argmax(axis=0)))
+
+
+def test_steady_state_step_runs_one_forward_and_accuracy_none(monkeypatch):
+    ds, cfg, params, state = steady_state()
+    assert not any(a.flags.writeable for a in params.arrays())
+    assert all(a.flags.writeable for a in params.copy().arrays())
+    calls = count_forwards(monkeypatch)
+    for _ in range(3):
+        params, _ = adapt_epoch(ds, cfg, params, state)
+        acc = target_accuracy(params, ds)
+    assert calls == [ds.n_source + ds.n_target] * 3
+    assert acc == plain_accuracy(params, ds)
+
+
+def detached(state: AdamState) -> AdamState:
+    """A copy of the optimizer state that carries no forward state."""
+    return AdamState([m.copy() for m in state.m], [v.copy() for v in state.v], state.t)
+
+
+def plain_step(ds, cfg, params, state):
+    """The same step on a dataset rebuilt from copies, with no carried forward."""
+    twin = AdaptationDataset(sources=[(x.copy(), y.copy()) for x, y in ds.sources],
+                             target=ds.target.copy(), target_truth=ds.target_truth.copy(),
+                             pseudo_labels=ds.pseudo_labels.copy())
+    stepped, bd = adapt_epoch(twin, cfg, params.copy(), detached(state))
+    return stepped, bd, twin
+
+
+def mutate(ds, params):
+    params.g_w1.setflags(write=True)
+    params.g_w1[0, 0] += 0.25
+    return ds, params
+
+
+def replace_array(ds, params):
+    return ds, ModelParams(*params.arrays()[:4], params.c_w + 0.1, params.c_b)
+
+
+def reassign_target(ds, params):
+    ds.target = ds.target + 0.3
+    return ds, params
+
+
+def reassign_sources(ds, params):
+    ds.sources = [(x - 0.3, y) for x, y in ds.sources]
+    return ds, params
+
+
+def other_dataset(ds, params):
+    other = blob_dataset(seed=8)
+    init_pseudo_labels(other, params, PseudoLabelMode.HARD)
+    return other, params
+
+
+@pytest.mark.parametrize("change", [mutate, replace_array, reassign_target,
+                                    reassign_sources, other_dataset])
+def test_changed_inputs_force_a_fresh_forward(monkeypatch, change):
+    ds, cfg, params, state = steady_state()
+    ds, params = change(ds, params)
+    assert target_accuracy(params, ds) == plain_accuracy(params, ds)
+    want, want_bd, twin = plain_step(ds, cfg, params, state)
+    calls = count_forwards(monkeypatch)
+    got, got_bd = adapt_epoch(ds, cfg, params, state)
+    n = ds.n_source + ds.n_target
+    assert calls == [n, n]
+    assert params_equal(got, want) and got_bd == want_bd
+    np.testing.assert_array_equal(ds.pseudo_labels, twin.pseudo_labels)
+    assert target_accuracy(got, ds) == plain_accuracy(got, ds)
+
+
+def three_forward_fit(ds, cfg):
+    """Pretraining, then adaptation steps written out with a separate forward
+    for the step, the relabel and the accuracy, and Adam in its textbook form."""
+    params, trace = pretrain(ds, cfg, init_params_for(ds, cfg))
+    init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
+    m = [np.zeros_like(a) for a in params.arrays()]
+    v = [np.zeros_like(a) for a in params.arrays()]
+    b1, b2, eps = cfg.adam.beta1, cfg.adam.beta2, cfg.adam.eps
+    ns, ys = ds.n_source, ds.source_labels
+    for t in range(1, cfg.adapt_epochs + 1):
+        st = forward_pass(params, ds.features)
+        ce = loss_ce(st.probs[:, :ns], ys)
+        dlogits = np.zeros_like(st.probs)
+        dlogits[:, :ns] = st.probs[:, :ns] - ys
+        ent = loss_entropy(st.probs[:, ns:])
+        dlogits[:, ns:] = cfg.beta2 * entropy_grad_wrt_logits(st.probs[:, ns:])
+        y_all = np.hstack([ys, ds.pseudo_labels])
+        cfgs = CondKernelConfig.resolve(st.xre, y_all, ds.domain_matrix)
+        cond, grad = cond_objective(st.xre, y_all, ds.domain_matrix, cfgs, cfg.epsilon)
+        grads = backward_pass(params, st, dlogits, cfg.beta1 * grad)
+        for a, g, mi, vi in zip(params.arrays(), grads, m, v):
+            mi *= b1
+            mi += (1.0 - b1) * g
+            vi *= b2
+            vi += (1.0 - b2) * g * g
+            a -= cfg.learning_rate * (mi / (1.0 - b1 ** t)) / (np.sqrt(vi / (1.0 - b2 ** t)) + eps)
+        probs = forward_pass(params, ds.target).probs
+        if cfg.pseudo_label_mode is PseudoLabelMode.SOFT:
+            ds.pseudo_labels = probs
+        else:
+            ds.pseudo_labels = np.zeros_like(probs)
+            ds.pseudo_labels[probs.argmax(axis=0), np.arange(probs.shape[1])] = 1.0
+        trace.losses.append(LossBreakdown(ce, cond, ent, cfg.beta1, cfg.beta2))
+        trace.target_accuracy.append(plain_accuracy(params, ds))
+    return params, trace
+
+
+def test_hard_label_fit_matches_three_forward_loop():
+    cfg = quick_config(beta1=0.05, beta2=0.01, hidden_units=64, rep_dim=32)
+    for seed in (0, 1):
+        p, t = fit(blob_dataset(seed=seed), cfg)
+        q, u = three_forward_fit(blob_dataset(seed=seed), cfg)
+        assert params_equal(p, q)
+        assert t == u
+
+
+def unbalanced_dataset():
+    rng = np.random.default_rng(21)
+
+    def domain(n, offset):
+        labels = rng.integers(0, 3, n)
+        return rng.normal(size=(2, n)) * 0.6 + 3.0 * labels + offset, one_hot(labels, 3)
+
+    (xa, ya), (xb, yb), (xt, yt) = domain(296, 0.0), domain(148, 0.4), domain(157, 1.0)
+    return AdaptationDataset(sources=[(xa, ya), (xb, yb)], target=xt, target_truth=yt)
+
+
+def test_soft_label_fit_on_unbalanced_layout_stays_close_to_three_forward_loop():
+    # the relabel reads a column slice of the step's forward, which BLAS may
+    # round differently from a forward over the target alone when the column
+    # counts are unbalanced (here parameters end up to 7e-14 apart with one
+    # BLAS thread); soft labels carry that into the next step's gradient
+    cfg = quick_config(beta1=0.05, beta2=0.01, pseudo_label_mode=PseudoLabelMode.SOFT,
+                       hidden_units=64, rep_dim=32)
+    p, t = fit(unbalanced_dataset(), cfg)
+    q, u = three_forward_fit(unbalanced_dataset(), cfg)
+    for a, b in zip(p.arrays(), q.arrays()):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-11)
+    np.testing.assert_allclose([b.total for b in t.losses], [b.total for b in u.losses],
+                               rtol=1e-14)
+    assert t.target_accuracy == u.target_accuracy
+
+
+def test_fit_on_shared_pretraining_matches_own_pretraining():
+    ds = blob_dataset(seed=6)
+    other = quick_config(beta1=0.0, beta2=0.0, epsilon=1e-2)
+    shared = pretrain(ds, other, init_params_for(ds, other))
+    cfg = quick_config(beta1=0.05, beta2=0.01)
+    p, t = fit(blob_dataset(seed=6), cfg, shared)
+    q, u = fit(blob_dataset(seed=6), cfg)
+    assert params_equal(p, q)
+    assert t == u
+    assert all(a.flags.writeable for a in shared[0].arrays())
