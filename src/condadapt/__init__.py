@@ -8,12 +8,10 @@ from .errors import (
     ParseError,
 )
 from .kernels import (
-    BandwidthRule,
     GramMatrix,
     KernelConfig,
     NormalizedGram,
     center,
-    gaussian_kernel,
     gram,
     label_gram,
     mean_sq_dist_bandwidth,
@@ -26,7 +24,6 @@ from .measures import (
     StatKind,
     a_distance,
     cond,
-    cond_from_blocks,
     cond_from_features,
     convergence_probe,
     mmd,
@@ -40,7 +37,6 @@ from .gradients import (
     GradCheckReport,
     cond_objective,
     finite_diff_check,
-    nocco_objective,
 )
 from .model import (
     LossBreakdown,
@@ -53,7 +49,6 @@ from .model import (
 )
 from .trainer import (
     AdamConfig,
-    AdaptationDataset,
     PseudoLabelMode,
     TrainConfig,
     TrainTrace,
@@ -64,6 +59,7 @@ from .trainer import (
     target_accuracy,
 )
 from .data import (
+    AdaptationDataset,
     SyntheticKind,
     SyntheticSpec,
     chain_triple,

@@ -20,19 +20,25 @@ from . import data as data_mod
 from . import measures
 from .errors import ConfigError, DegenerateDataError, InputError, NumericalError, ParseError
 from .model import forward_pass, save_params
-from .trainer import (AdaptationDataset, PseudoLabelMode, TrainConfig, fit, init_params_for,
-                      pretrain, target_accuracy)
+from .trainer import (PseudoLabelMode, TrainConfig, fit, init_params_for, pretrain,
+                      target_accuracy)
 
 _DATA_ERRORS = (InputError, ConfigError, DegenerateDataError, NumericalError,
                 ParseError, OSError)
 
-_FAMILY_CLASSES = {"shifted-blobs": 4, "rotated-moons": 2, "chain-ci": 3, "chain-dep": 3}
+# CLI family -> (kind, default classes, default shift in noise-sd units)
+_FAMILIES = {
+    "shifted-blobs": (data_mod.SyntheticKind.SHIFTED_BLOBS, 4, 2.5),
+    "rotated-moons": (data_mod.SyntheticKind.ROTATED_MOONS, 2, 2.5),
+    "chain-ci": (data_mod.SyntheticKind.CONDITIONAL_CHAIN, 3, 0.0),
+    "chain-dep": (data_mod.SyntheticKind.CONDITIONAL_CHAIN, 3, 2.0),
+}
 
 
 def _add_data_flags(p: argparse.ArgumentParser):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="feature file (f0..fD,label,domain)")
-    src.add_argument("--synthetic", choices=sorted(_FAMILY_CLASSES),
+    src.add_argument("--synthetic", choices=sorted(_FAMILIES),
                      help="generate a synthetic scenario instead of reading a file")
     p.add_argument("--classes", type=int, default=None,
                    help="classes for synthetic data (family default)")
@@ -98,25 +104,12 @@ def _add_train_flags(p: argparse.ArgumentParser):
 
 
 def _synthetic_spec(args, seed: int) -> data_mod.SyntheticSpec:
-    kind = {
-        "shifted-blobs": data_mod.SyntheticKind.SHIFTED_BLOBS,
-        "rotated-moons": data_mod.SyntheticKind.ROTATED_MOONS,
-        "chain-ci": data_mod.SyntheticKind.CONDITIONAL_CHAIN,
-        "chain-dep": data_mod.SyntheticKind.CONDITIONAL_CHAIN,
-    }[args.synthetic]
-    classes = args.classes if args.classes is not None else _FAMILY_CLASSES[args.synthetic]
-    if args.shift is not None:
-        shift = args.shift
-    elif args.synthetic == "chain-dep":
-        shift = 2.0 * args.noise_sd
-    elif args.synthetic == "chain-ci":
-        shift = 0.0
-    else:
-        shift = 2.5 * args.noise_sd
-    return data_mod.SyntheticSpec(kind=kind, classes=classes,
-                                  samples_per_class_per_domain=args.per_class,
-                                  shift=shift, noise_sd=args.noise_sd,
-                                  num_sources=args.sources, seed=seed)
+    kind, classes, shift_sds = _FAMILIES[args.synthetic]
+    return data_mod.SyntheticSpec(
+        kind=kind, classes=classes if args.classes is None else args.classes,
+        samples_per_class_per_domain=args.per_class,
+        shift=shift_sds * args.noise_sd if args.shift is None else args.shift,
+        noise_sd=args.noise_sd, num_sources=args.sources, seed=seed)
 
 
 def _triple_from_args(args, seed: int):
@@ -130,7 +123,7 @@ def _triple_from_args(args, seed: int):
     return (ds.features, y, ds.domain_matrix), ds
 
 
-def _dataset_from_args(args, seed: int, parser) -> AdaptationDataset:
+def _dataset_from_args(args, seed: int, parser) -> data_mod.AdaptationDataset:
     if args.input is not None:
         return data_mod.load_features(args.input)
     spec = _synthetic_spec(args, seed)
@@ -289,23 +282,19 @@ def _cmd_sweep(args, parser) -> dict:
             "trial_seeds": _trial_seeds(args, parser)}
 
 
-def _alignment_stats(params, ds: AdaptationDataset, epsilon: float) -> dict:
+def _alignment_stats(params, ds: data_mod.AdaptationDataset, epsilon: float) -> dict:
     """Dependence between the learned representation and the domain."""
     xre = forward_pass(params, ds.features).xre
     z = ds.domain_matrix
-    if ds.target_truth is not None:
-        y = np.hstack([ds.source_labels, ds.target_truth])
-    elif ds.pseudo_labels is not None:
-        y = np.hstack([ds.source_labels, ds.pseudo_labels])
-    else:
-        return {"rep_nocco": measures.nocco_from_features(xre, z, epsilon).statistic}
-    labels = y.argmax(axis=0)
-    return {
-        "rep_nocco": measures.nocco_from_features(xre, z, epsilon).statistic,
-        "rep_per_class_nocco": measures.per_class_nocco_from_features(
-            xre, z, labels, epsilon).statistic,
-        "rep_cond": measures.cond_from_features(xre, y, z, epsilon).statistic,
-    }
+    stats = {"rep_nocco": measures.nocco_from_features(xre, z, epsilon).statistic}
+    y = ds.pseudo_labels if ds.target_truth is None else ds.target_truth
+    if y is None:
+        return stats
+    y = np.hstack([ds.source_labels, y])
+    stats["rep_per_class_nocco"] = measures.per_class_nocco_from_features(
+        xre, z, y.argmax(axis=0), epsilon).statistic
+    stats["rep_cond"] = measures.cond_from_features(xre, y, z, epsilon).statistic
+    return stats
 
 
 def _human_lines(lines):

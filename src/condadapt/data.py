@@ -1,4 +1,5 @@
-"""Synthetic domain-shift generators and delimited feature-file I/O.
+"""The adaptation dataset type, synthetic domain-shift generators and
+delimited feature-file I/O.
 
 Generators are deterministic in the spec seed.  Ground-truth target labels
 live in the dataset's evaluation-only slot (``target_truth``); nothing on the
@@ -8,13 +9,92 @@ training path consumes them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
-from .trainer import AdaptationDataset
+from .errors import ConfigError, InputError, ParseError
+
+
+@dataclass
+class AdaptationDataset:
+    """Sources with labels, unlabeled target, and mutable pseudo-labels.
+
+    ``target_truth`` is evaluation-only ground truth; no training path reads
+    it.  ``pseudo_labels`` follow a single-writer (trainer) / multi-reader
+    contract.
+    """
+
+    sources: list[tuple[np.ndarray, np.ndarray]]
+    target: np.ndarray
+    pseudo_labels: np.ndarray | None = None
+    target_truth: np.ndarray | None = None
+    # (forward inputs, target argmax) of the last adaptation step
+    _last_step: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.sources:
+            raise InputError("need at least one source domain")
+        self.sources = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+                        for x, y in self.sources]
+        self.target = np.asarray(self.target, dtype=float)
+        if not np.all(np.isfinite(self.target)):
+            raise InputError("target has non-finite values")
+        d = self.target.shape[0]
+        k = self.sources[0][1].shape[0]
+        for i, (x, y) in enumerate(self.sources):
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+                raise InputError(f"source {i} has non-finite values")
+            if x.shape[0] != d:
+                raise InputError(f"source {i} feature dim {x.shape[0]} != target dim {d}")
+            if y.shape != (k, x.shape[1]):
+                raise InputError(f"source {i} labels must be ({k}, {x.shape[1]})")
+        if self.target.shape[1] < 1:
+            raise InputError("target domain has no samples")
+        if self.target_truth is not None:
+            self.target_truth = np.asarray(self.target_truth, dtype=float)
+            if self.target_truth.shape != (k, self.target.shape[1]):
+                raise InputError("target_truth shape must match (classes, n_target)")
+
+    @property
+    def num_sources(self) -> int:
+        return len(self.sources)
+
+    @property
+    def classes(self) -> int:
+        return self.sources[0][1].shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.target.shape[0]
+
+    @property
+    def n_source(self) -> int:
+        return sum(x.shape[1] for x, _ in self.sources)
+
+    @property
+    def n_target(self) -> int:
+        return self.target.shape[1]
+
+    @property
+    def source_features(self) -> np.ndarray:
+        return np.hstack([x for x, _ in self.sources])
+
+    @property
+    def source_labels(self) -> np.ndarray:
+        return np.hstack([y for _, y in self.sources])
+
+    @property
+    def features(self) -> np.ndarray:
+        return np.hstack([self.source_features, self.target])
+
+    @property
+    def domain_matrix(self) -> np.ndarray:
+        """One-hot (num_sources + 1, n) block: sources in order, then target."""
+        counts = [x.shape[1] for x, _ in self.sources] + [self.n_target]
+        return np.repeat(np.eye(len(counts)), counts, axis=1)
+
 
 
 class SyntheticKind(Enum):
@@ -53,13 +133,17 @@ class SyntheticSpec:
             raise ConfigError("class_spacing must be positive")
 
     def shift_vector(self) -> np.ndarray:
-        s = self.shift
-        if np.isscalar(s):
-            return np.array([float(s), 0.0])
-        v = np.asarray(s, dtype=float)
-        if v.shape != (2,):
-            raise ConfigError(f"shift vector must have 2 entries, got shape {v.shape}")
-        return v
+        return _shift_vector(self.shift)
+
+
+def _shift_vector(shift) -> np.ndarray:
+    """A scalar offset s as (s, 0), or a 2-vector; ConfigError otherwise."""
+    if np.isscalar(shift):
+        return np.array([float(shift), 0.0])
+    v = np.asarray(shift, dtype=float)
+    if v.shape != (2,):
+        raise ConfigError(f"shift vector must have 2 entries, got shape {v.shape}")
+    return v
 
 
 def _class_means(classes: int, noise_sd: float, spacing: float = 6.0) -> np.ndarray:
@@ -69,7 +153,7 @@ def _class_means(classes: int, noise_sd: float, spacing: float = 6.0) -> np.ndar
     return radius * np.vstack([np.cos(angles), np.sin(angles)])
 
 
-def _one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
+def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
     out = np.zeros((classes, labels.shape[0]))
     out[labels, np.arange(labels.shape[0])] = 1.0
     return out
@@ -95,7 +179,7 @@ def make_shifted_blobs(spec: SyntheticSpec) -> AdaptationDataset:
             cols.append(mu[:, None] + spec.noise_sd * rng.standard_normal((2, m)))
             labels.append(np.full(m, c))
         y = np.concatenate(labels)
-        return np.hstack(cols), _one_hot(y, spec.classes)
+        return np.hstack(cols), one_hot(y, spec.classes)
 
     sources = [domain(np.zeros(2)) for _ in range(spec.num_sources)]
     xt, yt = domain(shift)
@@ -123,7 +207,7 @@ def make_rotated_moons(spec: SyntheticSpec) -> AdaptationDataset:
                             [math.sin(angle), math.cos(angle)]])
             x = rot @ (x - pivot[:, None]) + pivot[:, None]
         y = np.concatenate([np.zeros(m, dtype=int), np.ones(m, dtype=int)])
-        return x, _one_hot(y, 2)
+        return x, one_hot(y, 2)
 
     angle = float(spec.shift) if np.isscalar(spec.shift) else float(spec.shift[0])
     sources = [domain(0.0) for _ in range(spec.num_sources)]
@@ -148,8 +232,7 @@ def chain_triple(n: int, seed: int, *, classes: int = 3, domains: int = 2,
         raise ConfigError("chain needs at least 2 classes and 2 domains")
     rng = np.random.default_rng(seed)
     means = _class_means(classes, noise_sd)
-    shift_vec = (np.array([float(shift), 0.0]) if np.isscalar(shift)
-                 else np.asarray(shift, dtype=float))
+    shift_vec = _shift_vector(shift)
     # skewed priors: first domain favours low classes, last favours high ones
     ratios = (0.6 ** np.linspace(1.0, -1.0, domains) if domains > 1
               else np.ones(1))
@@ -166,8 +249,8 @@ def chain_triple(n: int, seed: int, *, classes: int = 3, domains: int = 2,
         ys.append(y)
         zs.append(np.full(nd, d))
     x = np.hstack(xs)
-    y = _one_hot(np.concatenate(ys), classes)
-    z = _one_hot(np.concatenate(zs), domains)
+    y = one_hot(np.concatenate(ys), classes)
+    z = one_hot(np.concatenate(zs), domains)
     return x, y, z
 
 
@@ -270,12 +353,12 @@ def load_features(path, delimiter: str = ",") -> AdaptationDataset:
         if np.any(src_labels < 0):
             bad = int(np.flatnonzero(sel)[src_labels < 0][0])
             raise ParseError(f"row {bad + 2}: source rows must be labeled")
-        sources.append((x[:, sel], _one_hot(src_labels, k)))
+        sources.append((x[:, sel], one_hot(src_labels, k)))
 
     sel = domains == target_id
     t_labels = labels[sel]
     if np.all(t_labels >= 0):
-        truth = _one_hot(t_labels, k)
+        truth = one_hot(t_labels, k)
     elif np.all(t_labels < 0):
         truth = None
     else:

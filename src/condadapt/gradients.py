@@ -47,6 +47,7 @@ from .kernels import (
     gram,
     is_constant_block,
     pairwise_sq_dists,
+    ridged_cho_factor,
 )
 
 
@@ -162,12 +163,7 @@ def cond_cells(xre: np.ndarray, y: np.ndarray, z: np.ndarray, cfgs: CondKernelCo
 
 def ridge_cholesky(kxt: np.ndarray, ridge: float):
     """Lower Cholesky factor of H K_Xt H + ne I, in ``cho_factor`` form."""
-    g = center(kxt)
-    g.flat[::g.shape[0] + 1] += ridge
-    try:
-        return scipy.linalg.cho_factor(g, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"regularized Gram is not positive definite: {exc}") from exc
+    return ridged_cho_factor(center(kxt), ridge)
 
 
 def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
@@ -209,21 +205,6 @@ def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
     if not np.all(np.isfinite(grad)):
         raise NumericalError("gradient assembly produced non-finite entries")
     return value, grad
-
-
-def nocco_objective(xre, z, cfgs: CondKernelConfig | None,
-                    epsilon: float) -> tuple[float, np.ndarray]:
-    """Value and feature gradient of the unconditional trace objective.
-
-    Reuses the conditional chain with a constant label block: K_Y = 1 makes
-    R_Y = 0, so S = I and the objective reduces to Tr(R_Z R_X) exactly.
-    """
-    xre = np.asarray(xre, dtype=float)
-    if xre.ndim != 2:
-        raise InputError(f"expected a (d', n) feature matrix, got ndim={xre.ndim}")
-    if cfgs is None:
-        cfgs = CondKernelConfig(KernelConfig.from_data(xre), None, _label_config(z))
-    return cond_objective(xre, np.ones((1, xre.shape[1])), z, cfgs, epsilon)
 
 
 def finite_diff_check(objective, xre, analytic_grad, *, probes: int = 50,

@@ -8,7 +8,6 @@ enforced by construction (see ``pairwise_sq_dists``), not by trust.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 import scipy.linalg
@@ -16,22 +15,15 @@ import scipy.linalg
 from .errors import ConfigError, DegenerateDataError, InputError, NumericalError
 
 
-class BandwidthRule(Enum):
-    MEAN_SQ_DIST = "mean-sq-dist"
-    FIXED = "fixed"
-
-
 @dataclass(frozen=True)
 class KernelConfig:
     """Gaussian kernel settings.
 
-    ``bandwidth_sq`` is sigma^2 in k(x, x') = exp(-||x - x'||^2 / sigma^2).
-    When ``bandwidth_rule`` is MEAN_SQ_DIST the value was fitted to the mean
-    of all pairwise squared distances of some data (use ``from_data``).
+    ``bandwidth_sq`` is sigma^2 in k(x, x') = exp(-||x - x'||^2 / sigma^2);
+    ``from_data`` fits it to the mean of all pairwise squared distances.
     """
 
     bandwidth_sq: float
-    bandwidth_rule: BandwidthRule = BandwidthRule.FIXED
 
     def __post_init__(self):
         b = self.bandwidth_sq
@@ -39,13 +31,9 @@ class KernelConfig:
             raise ConfigError(f"bandwidth_sq must be positive and finite, got {b!r}")
 
     @classmethod
-    def fixed(cls, bandwidth_sq: float) -> "KernelConfig":
-        return cls(float(bandwidth_sq), BandwidthRule.FIXED)
-
-    @classmethod
     def from_data(cls, x: np.ndarray) -> "KernelConfig":
         """Fit sigma^2 to the mean squared pairwise distance of x's columns."""
-        return cls(mean_sq_dist_bandwidth(x), BandwidthRule.MEAN_SQ_DIST)
+        return cls(mean_sq_dist_bandwidth(x))
 
 
 @dataclass(frozen=True)
@@ -96,16 +84,6 @@ def _as_columns(x) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise InputError("data matrix contains non-finite values")
     return x
-
-
-def gaussian_kernel(x, y, cfg: KernelConfig) -> float:
-    """k(x, y) = exp(-||x - y||^2 / sigma^2) for two single samples."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise InputError(f"mismatched sample dimensions {x.shape} vs {y.shape}")
-    d2 = float(np.sum((x - y) ** 2))
-    return float(np.exp(-d2 / cfg.bandwidth_sq))
 
 
 def pairwise_sq_dists(x) -> np.ndarray:
@@ -216,6 +194,15 @@ def center(k) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
+def ridged_cho_factor(g: np.ndarray, ridge: float):
+    """Lower Cholesky factor of g + ridge * I in ``cho_factor`` form; adds the ridge to g."""
+    g.flat[::g.shape[0] + 1] += ridge
+    try:
+        return scipy.linalg.cho_factor(g, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(f"regularized Gram is not positive definite: {exc}") from exc
+
+
 def normalize(g, epsilon: float) -> NormalizedGram:
     """R = G (G + n*eps*I)^{-1} via a Cholesky solve of the regularized matrix.
 
@@ -230,11 +217,7 @@ def normalize(g, epsilon: float) -> NormalizedGram:
         raise NumericalError("non-finite entries in matrix passed to normalize")
     n = g.shape[0]
     ridge = n * epsilon
-    f = g + ridge * np.eye(n)
-    try:
-        factor = scipy.linalg.cho_factor(f, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"regularized Gram is not positive definite: {exc}") from exc
+    factor = ridged_cho_factor(g.copy(), ridge)
     b = scipy.linalg.cho_solve(factor, np.eye(n), check_finite=False)
     r = np.eye(n) - ridge * b
     r = 0.5 * (r + r.T)

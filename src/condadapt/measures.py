@@ -34,6 +34,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,8 +51,8 @@ from .kernels import (
     gram,
     is_constant_block,
     label_gram,
-    product_gram,
 )
+from .trainer import AdamConfig, AdamState, adam_step
 
 # Right-hand-side columns per block of replicates (at least one replicate),
 # so the null's workspace stays within n times this.
@@ -235,10 +236,10 @@ def cond(kxt: GramMatrix, kzt: GramMatrix, ky: GramMatrix, epsilon: float, *,
     """Conditional dependence statistic Tr(R_Zt S R_Xt S), S = I - R_Y.
 
     ``kxt`` and ``kzt`` are Grams of the extended blocks (X, Y) and (Z, Y);
-    build them with ``product_gram`` or use ``cond_from_blocks``.  The
-    permutation null shuffles Z within each class of ``labels``, which every
-    sample of a class must share a K_Y row with; such shuffles fix Y, so
-    the extended Gram permutes as a whole.
+    build them with ``product_gram``.  The permutation null shuffles Z
+    within each class of ``labels``, which every sample of a class must
+    share a K_Y row with; such shuffles fix Y, so the extended Gram permutes
+    as a whole.
     """
     check_epsilon(epsilon)
     if not (kxt.n == kzt.n == ky.n):
@@ -248,12 +249,6 @@ def cond(kxt: GramMatrix, kzt: GramMatrix, ky: GramMatrix, epsilon: float, *,
     stat, null = _gram_null(kxt.entries, kzt.entries, ky.entries, epsilon,
                             _shuffles(classes, ky.n, permutations, seed))
     return DependenceReport(stat, StatKind.COND, ky.n, float(epsilon), _pvalue(stat, null))
-
-
-def cond_from_blocks(kx: GramMatrix, kz: GramMatrix, ky: GramMatrix,
-                     epsilon: float, **kw) -> DependenceReport:
-    """Conditional statistic from per-block Grams; forms the products internally."""
-    return cond(product_gram(kx, ky), product_gram(kz, ky), ky, epsilon, **kw)
 
 
 def per_class_nocco(kx: GramMatrix, kz: GramMatrix, labels, epsilon: float, *,
@@ -356,20 +351,15 @@ def mmd(xa, xb, cfg: KernelConfig | None = None) -> float:
 
 def _adam_logistic(x_train: np.ndarray, y_train: np.ndarray,
                    steps: int = 200, lr: float = 0.1) -> tuple[np.ndarray, float]:
-    """Linear logistic probe trained with full-batch adaptive gradient steps."""
+    """Linear logistic probe trained with full-batch Adam steps."""
     d, n = x_train.shape
     w = np.zeros(d + 1)
-    m = np.zeros(d + 1)
-    v = np.zeros(d + 1)
+    weights = SimpleNamespace(arrays=lambda: [w])  # what ``adam_step`` updates
+    state, cfg = AdamState.for_params(weights), AdamConfig()
     xb = np.vstack([x_train, np.ones((1, n))])
-    b1, b2, eps = 0.9, 0.999, 1e-8
-    for t in range(1, steps + 1):
-        z = w @ xb
-        p = 1.0 / (1.0 + np.exp(-z))
-        g = xb @ (p - y_train) / n
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        w = w - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+    for _ in range(steps):
+        p = 1.0 / (1.0 + np.exp(-(w @ xb)))
+        adam_step(weights, [xb @ (p - y_train) / n], state, lr, cfg)
     return w[:-1], w[-1]
 
 

@@ -20,6 +20,7 @@ from enum import Enum
 
 import numpy as np
 
+from .data import AdaptationDataset, one_hot
 from .errors import ConfigError, InputError, NumericalError
 from .gradients import CondKernelConfig, cond_objective
 from .model import (
@@ -84,85 +85,6 @@ class TrainConfig:
 
 
 @dataclass
-class AdaptationDataset:
-    """Sources with labels, unlabeled target, and mutable pseudo-labels.
-
-    ``target_truth`` is evaluation-only ground truth; no training path reads
-    it.  ``pseudo_labels`` follow a single-writer (trainer) / multi-reader
-    contract.
-    """
-
-    sources: list[tuple[np.ndarray, np.ndarray]]
-    target: np.ndarray
-    pseudo_labels: np.ndarray | None = None
-    target_truth: np.ndarray | None = None
-    # (forward inputs, target argmax) of the last adaptation step
-    _last_step: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.sources:
-            raise InputError("need at least one source domain")
-        self.sources = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-                        for x, y in self.sources]
-        self.target = np.asarray(self.target, dtype=float)
-        if not np.all(np.isfinite(self.target)):
-            raise InputError("target has non-finite values")
-        d = self.target.shape[0]
-        k = self.sources[0][1].shape[0]
-        for i, (x, y) in enumerate(self.sources):
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                raise InputError(f"source {i} has non-finite values")
-            if x.shape[0] != d:
-                raise InputError(f"source {i} feature dim {x.shape[0]} != target dim {d}")
-            if y.shape != (k, x.shape[1]):
-                raise InputError(f"source {i} labels must be ({k}, {x.shape[1]})")
-        if self.target.shape[1] < 1:
-            raise InputError("target domain has no samples")
-        if self.target_truth is not None:
-            self.target_truth = np.asarray(self.target_truth, dtype=float)
-            if self.target_truth.shape != (k, self.target.shape[1]):
-                raise InputError("target_truth shape must match (classes, n_target)")
-
-    @property
-    def num_sources(self) -> int:
-        return len(self.sources)
-
-    @property
-    def classes(self) -> int:
-        return self.sources[0][1].shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.target.shape[0]
-
-    @property
-    def n_source(self) -> int:
-        return sum(x.shape[1] for x, _ in self.sources)
-
-    @property
-    def n_target(self) -> int:
-        return self.target.shape[1]
-
-    @property
-    def source_features(self) -> np.ndarray:
-        return np.hstack([x for x, _ in self.sources])
-
-    @property
-    def source_labels(self) -> np.ndarray:
-        return np.hstack([y for _, y in self.sources])
-
-    @property
-    def features(self) -> np.ndarray:
-        return np.hstack([self.source_features, self.target])
-
-    @property
-    def domain_matrix(self) -> np.ndarray:
-        """One-hot (num_sources + 1, n) block: sources in order, then target."""
-        counts = [x.shape[1] for x, _ in self.sources] + [self.n_target]
-        return np.repeat(np.eye(len(counts)), counts, axis=1)
-
-
-@dataclass
 class TrainTrace:
     """Per-epoch records across both phases (pretrain first, then adaptation)."""
 
@@ -176,7 +98,7 @@ class AdamState:
     v: list[np.ndarray]
     t: int = 0
     scratch: list[np.ndarray] = field(init=False, repr=False)
-    # (forward inputs, ForwardState, dataset) of the last adaptation step
+    # (forward inputs, ForwardState) of the last adaptation step
     carried: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -271,9 +193,7 @@ def _pseudo_labels(probs: np.ndarray, mode: PseudoLabelMode) -> np.ndarray:
     if mode is PseudoLabelMode.SOFT:
         return probs.copy()
     # argmax breaks ties toward the lowest class index
-    hard = np.zeros_like(probs)
-    hard[probs.argmax(axis=0), np.arange(probs.shape[1])] = 1.0
-    return hard
+    return one_hot(probs.argmax(axis=0), probs.shape[0])
 
 
 def adapt_epoch(dataset: AdaptationDataset, config: TrainConfig,
@@ -290,8 +210,8 @@ def adapt_epoch(dataset: AdaptationDataset, config: TrainConfig,
     if opt_state is None:
         opt_state = AdamState.for_params(params)
     carried = opt_state.carried  # looked up before the copy, whose arrays are new
-    reuse = _reusable(carried, params, dataset) and carried[2] is dataset
-    st = carried[1] if reuse else forward_pass(params, dataset.features)
+    st = (carried[1] if _reusable(carried, params, dataset)
+          else forward_pass(params, dataset.features))
     params = params.copy()
 
     ns = dataset.n_source
@@ -333,7 +253,7 @@ def adapt_epoch(dataset: AdaptationDataset, config: TrainConfig,
     # the old state lives until this one exists, so its pages are not re-faulted
     st = forward_pass(params, dataset.features)
     inputs = _forward_inputs(params, dataset)
-    opt_state.carried = (inputs, st, dataset)
+    opt_state.carried = (inputs, st)
     probs_t = st.probs[:, ns:]
     dataset.pseudo_labels = _pseudo_labels(probs_t, config.pseudo_label_mode)
     dataset._last_step = (inputs, probs_t.argmax(axis=0))

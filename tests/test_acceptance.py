@@ -236,6 +236,7 @@ def study():
     return AdaptationStudy()
 
 
+@pytest.mark.slow
 def test_criterion_5_conditional_term_drives_the_adaptation_lift(study, capsys):
     means = {arm: float(np.mean(accs)) for arm, accs in study.accuracy.items()}
     lift = means["full"] - means["baseline"]
@@ -268,6 +269,7 @@ def _class_alignment(params, ds):
     return d_a, d_mmd
 
 
+@pytest.mark.slow
 def test_criterion_6_adaptation_tightens_class_conditional_alignment(study, capsys):
     start = time.monotonic()
     tighter_da = tighter_mmd = 0

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from condadapt import cli
 from condadapt.cli import main
-from condadapt.data import SyntheticKind, SyntheticSpec, make_shifted_blobs, save_features
+from condadapt.data import (AdaptationDataset, SyntheticKind, SyntheticSpec,
+                            make_conditional_chain, make_rotated_moons, make_shifted_blobs,
+                            save_features)
 from condadapt.model import forward_pass, load_params
-from condadapt.trainer import AdaptationDataset
 
 FAST_TRAIN = ["--synthetic", "shifted-blobs", "--classes", "2", "--per-class", "10",
               "--pretrain-epochs", "10", "--adapt-epochs", "5",
@@ -24,6 +26,32 @@ def strip_timing(report):
     out = dict(report)
     out.pop("wall_time_s")
     return out
+
+
+# synthetic families
+
+
+@pytest.mark.parametrize("family,kind,classes,shift", [
+    ("shifted-blobs", SyntheticKind.SHIFTED_BLOBS, 4, 1.25),
+    ("rotated-moons", SyntheticKind.ROTATED_MOONS, 2, 1.25),
+    ("chain-ci", SyntheticKind.CONDITIONAL_CHAIN, 3, 0.0),
+    ("chain-dep", SyntheticKind.CONDITIONAL_CHAIN, 3, 1.0),
+])
+def test_family_defaults_match_the_explicit_spec(family, kind, classes, shift):
+    # default flags: 50 per class, noise sd 0.5, one source, seed 0
+    args = cli.build_parser().parse_args(["measure", "--synthetic", family,
+                                          "--stat", "cond"])
+    got, _ = cli._triple_from_args(args, args.seed)
+    spec = SyntheticSpec(kind=kind, classes=classes, samples_per_class_per_domain=50,
+                         shift=shift, noise_sd=0.5, num_sources=1, seed=0)
+    if kind is SyntheticKind.CONDITIONAL_CHAIN:
+        want = make_conditional_chain(spec)
+    else:
+        make = make_shifted_blobs if kind is SyntheticKind.SHIFTED_BLOBS else make_rotated_moons
+        ds = make(spec)
+        want = (ds.features, np.hstack([ds.source_labels, ds.target_truth]), ds.domain_matrix)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
 
 
 # measure

@@ -1,7 +1,12 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
+from condadapt import data, trainer
 from condadapt.data import (
+    AdaptationDataset,
     SyntheticKind,
     SyntheticSpec,
     chain_triple,
@@ -13,7 +18,6 @@ from condadapt.data import (
 )
 from condadapt.errors import ConfigError, ParseError
 from condadapt.measures import mmd
-from condadapt.trainer import AdaptationDataset
 
 
 def blob_spec(**kw):
@@ -126,6 +130,22 @@ def test_chain_validation():
         chain_triple(3, seed=0, domains=2)
     with pytest.raises(ConfigError):
         chain_triple(100, seed=0, classes=1)
+
+
+@pytest.mark.parametrize("shift", [(1.0, 2.0, 3.0), [[1.0], [2.0]]])
+def test_chain_rejects_a_shift_that_is_not_a_2_vector(shift):
+    with pytest.raises(ConfigError, match="2 entries"):
+        chain_triple(60, seed=0, shift=shift)
+    spec = SyntheticSpec(kind=SyntheticKind.CONDITIONAL_CHAIN, shift=shift)
+    with pytest.raises(ConfigError, match="2 entries"):
+        make_conditional_chain(spec)
+
+
+def test_dataset_type_lives_below_the_trainer():
+    imported = {node.module for node in ast.walk(ast.parse(inspect.getsource(data)))
+                if isinstance(node, ast.ImportFrom)}
+    assert "trainer" not in imported
+    assert trainer.AdaptationDataset is AdaptationDataset
 
 
 def test_conditional_chain_wrapper_counts():

@@ -9,9 +9,7 @@ from condadapt.gradients import (
     GradCheckReport,
     cond_objective,
     finite_diff_check,
-    nocco_objective,
 )
-from condadapt.kernels import KernelConfig
 from condadapt.measures import cond_from_features, nocco_from_features
 
 
@@ -45,7 +43,7 @@ def test_value_agrees_with_measures_route():
 
 def test_nocco_value_agrees_with_measures_route():
     xre, _, z = random_instance(1)
-    value, _ = nocco_objective(xre, z, None, 1e-3)
+    value, _ = cond_objective(xre, np.ones((1, xre.shape[1])), z, None, 1e-3)
     assert value == pytest.approx(nocco_from_features(xre, z, 1e-3).statistic,
                                   rel=1e-12)
 
@@ -173,10 +171,13 @@ def test_cond_gradient_matches_finite_differences():
 
 
 def test_nocco_gradient_matches_finite_differences():
+    # a constant label block makes the conditional objective the plain one
     xre, _, z = random_instance(7)
-    cfgs = CondKernelConfig(KernelConfig.from_data(xre), None, None)
-    value, grad = nocco_objective(xre, z, cfgs, 1e-3)
-    rep = finite_diff_check(lambda m: nocco_objective(m, z, cfgs, 1e-3)[0], xre, grad)
+    ones = np.ones((1, xre.shape[1]))
+    cfgs = CondKernelConfig.resolve(xre, ones, z)
+    value, grad = cond_objective(xre, ones, z, cfgs, 1e-3)
+    assert value > 0.0 and np.max(np.abs(grad)) > 0.0
+    rep = finite_diff_check(lambda m: cond_objective(m, ones, z, cfgs, 1e-3)[0], xre, grad)
     assert rep.max_rel_error < 1e-4
 
 

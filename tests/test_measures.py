@@ -24,7 +24,6 @@ from condadapt.measures import (
     StatKind,
     a_distance,
     cond,
-    cond_from_blocks,
     cond_from_features,
     convergence_probe,
     mmd,
@@ -34,7 +33,7 @@ from condadapt.measures import (
     per_class_nocco_from_features,
 )
 
-UNIT = KernelConfig.fixed(1.0)
+UNIT = KernelConfig(1.0)
 
 
 def random_features(seed, d=3, n=30, scale=1.0):
@@ -185,15 +184,16 @@ def test_cond_within_class_shortcut_matches_brute_rebuild():
     z = one_hot(rng.integers(0, 2, size=n), 2)
     eps = 1e-2
     kx = gram(x, KernelConfig.from_data(x))
-    rep = cond_from_blocks(kx, label_gram(z), label_gram(y), eps,
-                           labels=labels, permutations=30, seed=5)
+    ky = label_gram(y)
+    rep = cond(product_gram(kx, ky), product_gram(label_gram(z), ky), ky, eps,
+               labels=labels, permutations=30, seed=5)
 
-    stat = cond_from_blocks(kx, label_gram(z), label_gram(y), eps).statistic
+    stat = cond(product_gram(kx, ky), product_gram(label_gram(z), ky), ky, eps).statistic
     hits = 0
     for i in range(30):
         perm = within_class_permutation(labels, 5 + i)
-        rep_stat = cond_from_blocks(kx, label_gram(z[:, perm]), label_gram(y),
-                                    eps).statistic
+        rep_stat = cond(product_gram(kx, ky), product_gram(label_gram(z[:, perm]), ky),
+                        ky, eps).statistic
         if rep_stat >= stat:
             hits += 1
     assert rep.permutation_pvalue == pytest.approx((1 + hits) / 31.0, abs=1e-15)
@@ -313,8 +313,8 @@ def test_features_route_matches_gram_route_and_dense_oracle(seed, n, y_kind, z_k
                              seed=seed)
     ky = label_gram(y)
     kx = gram(x, KernelConfig.from_data(x))
-    via_grams = cond_from_blocks(kx, label_gram(z), ky, epsilon, labels=labels,
-                                 permutations=permutations, seed=seed)
+    via_grams = cond(product_gram(kx, ky), product_gram(label_gram(z), ky), ky, epsilon,
+                     labels=labels, permutations=permutations, seed=seed)
     expected = dense_cond_statistic(product_gram(kx, ky), product_gram(label_gram(z), ky),
                                     ky, epsilon)
     gap = abs(rep.statistic - via_grams.statistic)
@@ -406,10 +406,11 @@ def test_cond_rejects_labels_coarser_than_the_label_gram():
     kz = label_gram(one_hot(np.arange(12) % 2, 2))
     merged = np.minimum(classes, 1)  # classes 1 and 2 share a label
     with pytest.raises(InputError, match="labels"):
-        cond_from_blocks(kx, kz, ky, 1e-2, labels=merged, permutations=5)
+        cond(product_gram(kx, ky), product_gram(kz, ky), ky, 1e-2, labels=merged,
+             permutations=5)
     finer = np.arange(12) % 6  # splitting a class still fixes K_Y
-    assert cond_from_blocks(kx, kz, ky, 1e-2, labels=finer,
-                            permutations=5).permutation_pvalue is not None
+    assert cond(product_gram(kx, ky), product_gram(kz, ky), ky, 1e-2, labels=finer,
+                permutations=5).permutation_pvalue is not None
 
 
 @pytest.mark.parametrize("case,error", [

@@ -507,6 +507,19 @@ def test_changed_inputs_force_a_fresh_forward(monkeypatch, change):
     assert target_accuracy(got, ds) == plain_accuracy(got, ds)
 
 
+def test_a_dataset_over_the_same_arrays_reuses_the_forward(monkeypatch):
+    # the carried forward is keyed on the arrays it read, not on the dataset object
+    ds, cfg, params, state = steady_state()
+    same = AdaptationDataset(sources=ds.sources, target=ds.target,
+                             pseudo_labels=ds.pseudo_labels, target_truth=ds.target_truth)
+    want, want_bd, twin = plain_step(same, cfg, params, state)
+    calls = count_forwards(monkeypatch)
+    got, got_bd = adapt_epoch(same, cfg, params, state)
+    assert calls == [same.n_source + same.n_target]
+    assert params_equal(got, want) and got_bd == want_bd
+    np.testing.assert_array_equal(same.pseudo_labels, twin.pseudo_labels)
+
+
 def three_forward_fit(ds, cfg):
     """Pretraining, then adaptation steps written out with a separate forward
     for the step, the relabel and the accuracy, and Adam in its textbook form."""
