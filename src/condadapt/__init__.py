@@ -10,7 +10,6 @@ from .errors import (
 from .kernels import (
     GramMatrix,
     KernelConfig,
-    NormalizedGram,
     center,
     gram,
     label_gram,

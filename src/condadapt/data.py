@@ -9,6 +9,7 @@ training path consumes them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -107,8 +108,10 @@ class SyntheticKind(Enum):
 class SyntheticSpec:
     """Shared knobs for the synthetic families.
 
-    ``shift`` is a 2-vector for blob/chain mean offsets or a single angle in
-    radians for the rotated moons.
+    ``shift`` is the target's mean offset for blobs and chains, a scalar s
+    read as (s, 0) or a 2-vector.  For the rotated moons it is the target's
+    rotation angle in radians and must be a finite scalar.  A shift the
+    family cannot read is a ConfigError when the generator runs.
     """
 
     kind: SyntheticKind
@@ -192,6 +195,9 @@ def make_rotated_moons(spec: SyntheticSpec) -> AdaptationDataset:
         raise ConfigError(f"spec kind is {spec.kind.value!r}, expected rotated moons")
     if spec.classes != 2:
         raise ConfigError("rotated moons is a 2-class family")
+    if not (isinstance(spec.shift, numbers.Real) and math.isfinite(spec.shift)):
+        raise ConfigError(f"rotated moons read shift as an angle, a finite scalar; "
+                          f"got {spec.shift!r}")
     rng = np.random.default_rng(spec.seed)
     m = spec.samples_per_class_per_domain
     pivot = np.array([0.5, 0.25])
@@ -209,9 +215,8 @@ def make_rotated_moons(spec: SyntheticSpec) -> AdaptationDataset:
         y = np.concatenate([np.zeros(m, dtype=int), np.ones(m, dtype=int)])
         return x, one_hot(y, 2)
 
-    angle = float(spec.shift) if np.isscalar(spec.shift) else float(spec.shift[0])
     sources = [domain(0.0) for _ in range(spec.num_sources)]
-    xt, yt = domain(angle)
+    xt, yt = domain(float(spec.shift))
     return AdaptationDataset(sources=sources, target=xt, target_truth=yt)
 
 

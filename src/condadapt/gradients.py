@@ -42,6 +42,7 @@ import scipy.linalg
 from .errors import InputError, NumericalError
 from .kernels import (
     KernelConfig,
+    as_block,
     center,
     check_epsilon,
     gram,
@@ -82,16 +83,6 @@ class CondKernelConfig:
 
 def _label_config(m) -> KernelConfig | None:
     return None if is_constant_block(m) else KernelConfig.from_data(m)
-
-
-def as_block(m, n: int, name: str) -> np.ndarray:
-    """m as a finite (rows, n) float block, or an InputError naming it."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.ndim != 2 or m.shape[1] != n:
-        raise InputError(f"{name} block has shape {m.shape}, expected {n} columns")
-    if not np.all(np.isfinite(m)):
-        raise InputError(f"{name} block contains non-finite values")
-    return m
 
 
 def _cell_gram(cells: np.ndarray, cfg: KernelConfig | None) -> np.ndarray:
@@ -176,14 +167,12 @@ def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
     dependence to remove, so both value and gradient vanish.
     """
     check_epsilon(epsilon)
-    xre = np.asarray(xre, dtype=float)
-    if xre.ndim != 2:
-        raise InputError(f"expected a (d', n) feature matrix, got ndim={xre.ndim}")
-    if not np.all(np.isfinite(xre)):
-        raise InputError("feature matrix contains non-finite values")
+    if np.ndim(xre) != 2:  # the gradient takes the shape of xre
+        raise InputError(f"feature block must be (d', n), got ndim={np.ndim(xre)}")
+    xre = as_block(xre, "feature")
     n = xre.shape[1]
-    y = as_block(y, n, "label")
-    z = as_block(z, n, "domain")
+    y = as_block(y, "label", n)
+    z = as_block(z, "domain", n)
     if is_constant_block(z):
         return 0.0, np.zeros_like(xre)
     if cfgs is None:

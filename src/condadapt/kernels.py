@@ -1,6 +1,7 @@
 """Gaussian kernels, Gram matrices, centering and regularized normalization.
 
-Conventions: samples are columns, so a data matrix has shape (d, n).  All
+Conventions: samples are columns, so a data matrix has shape (d, n), and
+``as_block`` is the one check of such a block.  All
 Gram-level operations work on exactly symmetric float64 matrices; symmetry is
 enforced by construction (see ``pairwise_sq_dists``), not by trust.
 """
@@ -55,35 +56,28 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class NormalizedGram:
-    """R = G (G + n*eps*I)^{-1} for a centered Gram G; eigenvalues in [0, 1)."""
-
-    entries: np.ndarray
-    epsilon: float
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
 def check_epsilon(epsilon: float):
     """ConfigError unless the regularization eps is positive and finite."""
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ConfigError(f"epsilon must be positive and finite, got {epsilon!r}")
 
 
-def _as_columns(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim != 2:
-        raise InputError(f"expected a (d, n) data matrix, got ndim={x.ndim}")
-    if x.shape[1] < 1:
-        raise InputError("data matrix has no samples")
-    if not np.all(np.isfinite(x)):
-        raise InputError("data matrix contains non-finite values")
-    return x
+def as_block(m, name: str, n: int | None = None) -> np.ndarray:
+    """m as a finite (rows, columns) float block, a 1-d m as one row.
+
+    The block needs at least one column, and exactly ``n`` when ``n`` is
+    given; otherwise an InputError names it by ``name``.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim == 1:
+        m = m[None, :]
+    if m.ndim != 2 or m.shape[1] < 1 or (n is not None and m.shape[1] != n):
+        want = "at least one column" if n is None else f"{n} columns"
+        raise InputError(f"{name} block has shape {m.shape}, expected (rows, columns) "
+                         f"with {want}")
+    if not np.all(np.isfinite(m)):
+        raise InputError(f"{name} block contains non-finite values")
+    return m
 
 
 def pairwise_sq_dists(x) -> np.ndarray:
@@ -94,7 +88,7 @@ def pairwise_sq_dists(x) -> np.ndarray:
     exactly symmetric, and so is (sq_i + sq_j) - 2 g_ij; a view strided in
     both axes is copied first.  The diagonal is set to exactly zero.
     """
-    x = _as_columns(x)
+    x = as_block(x, "data")
     if x.itemsize not in x.strides:
         x = np.ascontiguousarray(x)
     sq = np.einsum("ij,ij->j", x, x)
@@ -104,12 +98,9 @@ def pairwise_sq_dists(x) -> np.ndarray:
     return d2
 
 
-def cross_sq_dists(a, b) -> np.ndarray:
-    """Squared distances between columns of a and columns of b."""
-    a = _as_columns(a)
-    b = _as_columns(b)
-    if a.shape[0] != b.shape[0]:
-        raise InputError(f"mismatched sample dimensions {a.shape[0]} vs {b.shape[0]}")
+def cross_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between columns of a and columns of b, two blocks
+    with the same number of rows."""
     d2 = (
         np.einsum("ij,ij->j", a, a)[:, None]
         + np.einsum("ij,ij->j", b, b)[None, :]
@@ -121,7 +112,7 @@ def cross_sq_dists(a, b) -> np.ndarray:
 
 def is_constant_block(m) -> bool:
     """True when every column of m equals the first, compared exactly."""
-    m = _as_columns(m)
+    m = as_block(m, "data")
     return bool(np.all(m == m[:, :1]))
 
 
@@ -132,7 +123,7 @@ def mean_sq_dist_bandwidth(x) -> float:
     are detected exactly first: their rounded mean can differ from them, so
     the closed form alone would return a tiny positive value.
     """
-    x = _as_columns(x)
+    x = as_block(x, "data")
     if x.shape[1] < 2:
         raise InputError("bandwidth fit needs at least 2 samples")
     if is_constant_block(x):
@@ -151,7 +142,7 @@ def gram(x, cfg: KernelConfig) -> GramMatrix:
     columns need not round to 0, so each column takes the rows of the first
     column equal to it.  A Gram without equal columns is left as computed.
     """
-    x = _as_columns(x)
+    x = as_block(x, "data")
     k = np.exp(-pairwise_sq_dists(x) / cfg.bandwidth_sq)
     _, first, cell = np.unique(x, axis=1, return_index=True, return_inverse=True)
     if first.shape[0] < x.shape[1]:
@@ -166,7 +157,7 @@ def label_gram(m) -> GramMatrix:
     A constant matrix (all columns identical) yields the all-ones Gram, the
     exact Gaussian limit for zero distances under any bandwidth.
     """
-    m = _as_columns(m)
+    m = as_block(m, "data")
     if is_constant_block(m):
         return GramMatrix(np.ones((m.shape[1], m.shape[1])))
     return gram(m, KernelConfig.from_data(m))
@@ -203,9 +194,10 @@ def ridged_cho_factor(g: np.ndarray, ridge: float):
         raise NumericalError(f"regularized Gram is not positive definite: {exc}") from exc
 
 
-def normalize(g, epsilon: float) -> NormalizedGram:
+def normalize(g, epsilon: float) -> np.ndarray:
     """R = G (G + n*eps*I)^{-1} via a Cholesky solve of the regularized matrix.
 
+    For a centered Gram G, R is symmetric with eigenvalues in [0, 1).
     Uses the identity R = I - n*eps*(G + n*eps*I)^{-1}; the inverse is applied
     through an SPD factorization, never formed from an unsymmetrized product.
     """
@@ -223,4 +215,4 @@ def normalize(g, epsilon: float) -> NormalizedGram:
     r = 0.5 * (r + r.T)
     if not np.all(np.isfinite(r)):
         raise NumericalError("normalization produced non-finite entries")
-    return NormalizedGram(r, float(epsilon))
+    return r

@@ -41,10 +41,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, DegenerateDataError, InputError, NumericalError
-from .gradients import CondKernelConfig, as_block, cell_terms, cond_cells, ridge_cholesky
+from .gradients import CondKernelConfig, cell_terms, cond_cells, ridge_cholesky
 from .kernels import (
     GramMatrix,
     KernelConfig,
+    as_block,
     center,
     check_epsilon,
     cross_sq_dists,
@@ -138,8 +139,11 @@ def _null_classes(labels, rows: np.ndarray, what: str) -> list[np.ndarray]:
 
 def _shuffles(classes: list[np.ndarray], n: int, permutations: int, seed: int) -> np.ndarray:
     """Column i shuffles each class's samples among themselves, one
-    ``rng.permutation`` per class in list order from ``default_rng(seed + i)``."""
-    perms = np.tile(np.arange(n)[:, None], (1, max(permutations, 0)))
+    ``rng.permutation`` per class in list order from ``default_rng(seed + i)``.
+    A negative count is a ConfigError."""
+    if permutations < 0:
+        raise ConfigError(f"permutations must be >= 0, got {permutations!r}")
+    perms = np.tile(np.arange(n)[:, None], (1, permutations))
     for i in range(permutations):
         rng = np.random.default_rng(seed + i)
         for idx in classes:
@@ -270,7 +274,7 @@ def per_class_nocco(kx: GramMatrix, kz: GramMatrix, labels, epsilon: float, *,
 
     classes = [np.flatnonzero(labels == c) for c in np.unique(labels)]
     kept = [idx for idx in classes
-            if idx.shape[0] >= 2 and np.ptp(kz.entries[np.ix_(idx, idx)]) > 1e-15]
+            if idx.shape[0] >= 2 and not is_constant_block(kz.entries[np.ix_(idx, idx)])]
     skipped = len(classes) - len(kept)
     if skipped:
         warnings.warn(f"per-class statistic skipped {skipped} class(es) with <2 samples "
@@ -294,7 +298,8 @@ def per_class_nocco(kx: GramMatrix, kz: GramMatrix, labels, epsilon: float, *,
 
 def nocco_from_features(x, z, epsilon: float, **kw) -> DependenceReport:
     """Plain statistic from raw matrices; fits bandwidths, builds label-safe Grams."""
-    x = np.asarray(x, dtype=float)
+    x = as_block(x, "feature")
+    z = as_block(z, "domain", x.shape[1])
     return nocco(gram(x, KernelConfig.from_data(x)), label_gram(z), epsilon, **kw)
 
 
@@ -308,38 +313,45 @@ def cond_from_features(x, y, z, epsilon: float, *, labels=None, permutations: in
     ``labels`` must have the same label column.
     """
     check_epsilon(epsilon)
-    n = np.atleast_1d(x).shape[-1]
-    x, y, z = (as_block(m, n, name) for m, name in ((x, "feature"), (y, "label"),
-                                                      (z, "domain")))
+    x = as_block(x, "feature")
+    n = x.shape[1]
+    y = as_block(y, "label", n)
+    z = as_block(z, "domain", n)
     classes = _null_classes(labels, y.T, "label columns") if permutations > 0 else []
+    perms = _shuffles(classes, n, permutations, seed)
     kxt, cell, my, mzt = cond_cells(x, y, z, CondKernelConfig.resolve(x, y, z))
-    stat, null = _null_core(kxt, cell, my, mzt, epsilon,
-                            _shuffles(classes, n, permutations, seed))
+    stat, null = _null_core(kxt, cell, my, mzt, epsilon, perms)
     return DependenceReport(stat, StatKind.COND, n, float(epsilon), _pvalue(stat, null))
 
 
 def per_class_nocco_from_features(x, z, labels, epsilon: float, **kw) -> DependenceReport:
     """Per-class statistic from raw feature and domain matrices."""
-    x = np.asarray(x, dtype=float)
+    x = as_block(x, "feature")
+    z = as_block(z, "domain", x.shape[1])
     return per_class_nocco(gram(x, KernelConfig.from_data(x)), label_gram(z),
                            labels, epsilon, **kw)
+
+
+def _two_samples(xs, xt) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target blocks of a two-sample metric, with equal feature rows."""
+    xs = as_block(xs, "source")
+    xt = as_block(xt, "target")
+    if xs.shape[0] != xt.shape[0]:
+        raise InputError(f"target block has {xt.shape[0]} feature rows, "
+                         f"source block has {xs.shape[0]}")
+    return xs, xt
 
 
 def mmd(xa, xb, cfg: KernelConfig | None = None) -> float:
     """Biased (V-statistic) squared maximum mean discrepancy.
 
-    mean(K_AA) + mean(K_BB) - 2 mean(K_AB) under a shared Gaussian kernel;
-    with cfg=None the bandwidth is fitted on the pooled columns.  All three
-    blocks go through the same cross-distance path so xa == xb gives exactly 0.
+    mean(K_AA) + mean(K_BB) - 2 mean(K_AB) under a shared Gaussian kernel
+    between the source sample xa and the target sample xb, blocks with the
+    same rows; with cfg=None the bandwidth is fitted on the pooled columns.
+    All three blocks go through the same cross-distance path so xa == xb
+    gives exactly 0.
     """
-    xa = np.asarray(xa, dtype=float)
-    xb = np.asarray(xb, dtype=float)
-    if xa.ndim == 1:
-        xa = xa[None, :]
-    if xb.ndim == 1:
-        xb = xb[None, :]
-    if xa.shape[1] < 1 or xb.shape[1] < 1:
-        raise InputError("both samples must be non-empty")
+    xa, xb = _two_samples(xa, xb)
     if cfg is None:
         cfg = KernelConfig.from_data(np.hstack([xa, xb]))
     s2 = cfg.bandwidth_sq
@@ -394,11 +406,10 @@ def a_distance(xs, xt, split_seed: int = 0, *,
     worse than chance shows up as d_A < 0 rather than being hidden.
 
     With ``labels_s`` and ``labels_t`` a per-class list of (class, d_A_c) is
-    attached; classes with fewer than 2 samples in either domain are skipped
+    attached; classes with fewer than 4 samples in either domain are skipped
     and recorded in ``skipped_classes``.
     """
-    xs = np.asarray(xs, dtype=float)
-    xt = np.asarray(xt, dtype=float)
+    xs, xt = _two_samples(xs, xt)
     err = _discriminator_error(xs, xt, split_seed)
 
     per_class = None
@@ -411,9 +422,6 @@ def a_distance(xs, xt, split_seed: int = 0, *,
         per_class, skipped = [], []
         for c in np.unique(np.concatenate([labels_s, labels_t])):
             is_, it_ = labels_s == c, labels_t == c
-            if is_.sum() < 2 or it_.sum() < 2:
-                skipped.append(int(c))
-                continue
             try:
                 e_c = _discriminator_error(xs[:, is_], xt[:, it_], split_seed)
             except InputError:

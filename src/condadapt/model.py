@@ -183,7 +183,11 @@ def load_params(path) -> ModelParams:
         head = lines[pos].split()
         if len(head) != 3 or head[0] != name:
             raise ParseError(f"line {pos + 1}: expected block header for {name!r}")
-        rows, cols = int(head[1]), int(head[2])
+        try:
+            rows, cols = int(head[1]), int(head[2])
+        except ValueError as exc:
+            raise ParseError(f"line {pos + 1}: block {name!r} header has a non-integer "
+                             f"shape: {exc}") from exc
         block = lines[pos + 1: pos + 1 + rows]
         if len(block) < rows:
             raise ParseError(f"truncated model file inside block {name!r}")

@@ -384,7 +384,7 @@ def test_criterion_8_invariance_suite(capsys):
                         np.max(np.abs(stats(c * x, y, z, labels) - base) / base))
 
     k = gram(x, KernelConfig.from_data(x))
-    eigs = np.linalg.eigvalsh(normalize(k, eps).entries)
+    eigs = np.linalg.eigvalsh(normalize(k, eps))
     spectrum_ok = eigs.min() >= -1e-12 and eigs.max() < 1.0
 
     ds = _blob_dataset(0)

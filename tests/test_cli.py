@@ -117,6 +117,13 @@ def test_exit_code_1_on_missing_file(capsys):
     assert rc == 1 and report is None and "error" in err
 
 
+@pytest.mark.parametrize("stat", ["nocco", "cond", "per-class-nocco"])
+def test_exit_code_1_on_a_negative_permutation_count(stat, capsys):
+    rc, report, err = run(capsys, ["measure", "--synthetic", "chain-dep", "--per-class",
+                                   "10", "--stat", stat, "--permutations", "-1"])
+    assert rc == 1 and report is None and "permutations" in err
+
+
 def test_exit_code_2_on_bad_arguments(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["measure", "--synthetic", "shifted-blobs", "--stat", "bogus"])

@@ -141,6 +141,13 @@ def test_chain_rejects_a_shift_that_is_not_a_2_vector(shift):
         make_conditional_chain(spec)
 
 
+@pytest.mark.parametrize("shift", [(0.5, 9.0, 3.0), [[1.0], [2.0]], float("nan")])
+def test_moons_reject_a_shift_that_is_not_a_finite_angle(shift):
+    spec = SyntheticSpec(kind=SyntheticKind.ROTATED_MOONS, classes=2, shift=shift)
+    with pytest.raises(ConfigError, match="shift"):
+        make_rotated_moons(spec)
+
+
 def test_dataset_type_lives_below_the_trainer():
     imported = {node.module for node in ast.walk(ast.parse(inspect.getsource(data)))
                 if isinstance(node, ast.ImportFrom)}

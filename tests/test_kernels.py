@@ -262,7 +262,7 @@ def test_center_zeroes_row_and_column_sums(seed, n):
 def test_normalize_zero_matrix():
     # solve-route leaves at most an ulp of noise around the exact zero result
     r = normalize(np.zeros((4, 4)), 0.1)
-    np.testing.assert_allclose(r.entries, np.zeros((4, 4)), atol=1e-15)
+    np.testing.assert_allclose(r, np.zeros((4, 4)), atol=1e-15)
 
 
 def test_normalize_two_by_two_eigen_oracle():
@@ -270,7 +270,7 @@ def test_normalize_two_by_two_eigen_oracle():
     a = math.exp(-1.0)
     eps = 0.05
     g = center(GramMatrix(np.array([[1.0, a], [a, 1.0]])))
-    r = normalize(g, eps).entries
+    r = normalize(g, eps)
     lam = 1.0 - a
     v1 = np.array([1.0, -1.0]) / math.sqrt(2.0)
     v0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -281,7 +281,7 @@ def test_normalize_two_by_two_eigen_oracle():
 def test_normalize_shrinks_with_epsilon():
     x = random_features(4, n=25)
     g = center(gram(x, KernelConfig.from_data(x)))
-    norms = [np.linalg.norm(normalize(g, e).entries) for e in (1e-4, 1e-2, 1.0, 100.0)]
+    norms = [np.linalg.norm(normalize(g, e)) for e in (1e-4, 1e-2, 1.0, 100.0)]
     assert norms == sorted(norms, reverse=True)
     assert norms[-1] < 1e-2
 
@@ -290,7 +290,7 @@ def test_normalize_spectral_bounds():
     for seed in range(4):
         x = random_features(seed, n=50)
         g = center(gram(x, KernelConfig.from_data(x)))
-        eigs = np.linalg.eigvalsh(normalize(g, 1e-3).entries)
+        eigs = np.linalg.eigvalsh(normalize(g, 1e-3))
         assert eigs.min() >= -1e-12
         assert eigs.max() < 1.0
 
@@ -300,8 +300,8 @@ def test_normalize_commutes_with_rotation():
     x = random_features(21, n=30)
     g = center(gram(x, KernelConfig.from_data(x)))
     q, _ = np.linalg.qr(rng.normal(size=(30, 30)))
-    left = normalize(q.T @ g @ q, 1e-3).entries
-    right = q.T @ normalize(g, 1e-3).entries @ q
+    left = normalize(q.T @ g @ q, 1e-3)
+    right = q.T @ normalize(g, 1e-3) @ q
     np.testing.assert_allclose(left, right, atol=1e-8)
 
 

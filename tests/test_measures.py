@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from condadapt import measures
 from condadapt.data import chain_triple
 from condadapt.errors import ConfigError, DegenerateDataError, InputError, NumericalError
+from condadapt.gradients import cond_objective
 from condadapt.kernels import (
     GramMatrix,
     KernelConfig,
@@ -202,7 +203,7 @@ def test_cond_within_class_shortcut_matches_brute_rebuild():
 def dense_cond_statistic(kxt, kzt, ky, epsilon):
     """Dense n x n reference: three normalizations and S = I - R_Y formed."""
     def normalized(k):
-        return normalize(center(k), epsilon).entries
+        return normalize(center(k), epsilon)
 
     s = np.eye(kxt.n) - normalized(ky)
     return float(np.sum(normalized(kzt) * (s @ normalized(kxt) @ s)))
@@ -486,8 +487,8 @@ def dense_plain_null(kx, kz, epsilon, perms):
     """Dense plain statistic and null: Tr(R_Z R_X) from normalized Grams,
     R_Z conjugated by each shuffle, with whether that shuffle leaves K_Z
     unchanged entry for entry (an exact tie)."""
-    rx = normalize(center(kx), epsilon).entries
-    rz = normalize(center(kz), epsilon).entries
+    rx = normalize(center(kx), epsilon)
+    rz = normalize(center(kz), epsilon)
     stat = float(np.sum(rz * rx))
     reps = np.array([float(np.sum(rz[np.ix_(p, p)] * rx)) for p in perms])
     ties = np.array([np.array_equal(kz[np.ix_(p, p)], kz) for p in perms], dtype=bool)
@@ -743,3 +744,84 @@ def test_statistics_nonnegative_within_tolerance(seed):
     z = one_hot(rng.integers(0, 2, size=20), 2)
     assert nocco_from_features(x, z, 1e-3).statistic >= -1e-10
     assert cond_from_features(x, y, z, 1e-3).statistic >= -1e-10
+
+
+# entry checks
+
+
+def statistic_blocks():
+    """Valid blocks for every public statistic: 16 samples, 2 classes, 2 domains."""
+    rng = np.random.default_rng(8)
+    labels = np.arange(16) % 2
+    return {"feature": rng.normal(size=(2, 16)), "label": one_hot(labels, 2),
+            "domain": one_hot((np.arange(16) // 2) % 2, 2), "labels": labels,
+            "source": rng.normal(size=(2, 10)), "target": rng.normal(size=(2, 12)) + 1.0}
+
+
+STATISTICS = {
+    "cond_objective": lambda b: cond_objective(b["feature"], b["label"], b["domain"],
+                                               None, 1e-2),
+    "cond_from_features": lambda b: cond_from_features(b["feature"], b["label"],
+                                                       b["domain"], 1e-2),
+    "nocco_from_features": lambda b: nocco_from_features(b["feature"], b["domain"], 1e-2),
+    "per_class_nocco_from_features": lambda b: per_class_nocco_from_features(
+        b["feature"], b["domain"], b["labels"], 1e-2),
+    "mmd": lambda b: mmd(b["source"], b["target"]),
+    "a_distance": lambda b: a_distance(b["source"], b["target"]),
+}
+BLOCK_DEFECTS = (
+    [(f, block, defect) for f in ("cond_objective", "cond_from_features")
+     for block, defect in (("feature", "nan"), ("label", "inf"), ("domain", "nan"),
+                           ("label", "columns"), ("domain", "columns"))]
+    + [(f, block, defect) for f in ("nocco_from_features", "per_class_nocco_from_features")
+       for block, defect in (("feature", "inf"), ("domain", "nan"), ("domain", "columns"))]
+    + [(f, block, defect) for f in ("mmd", "a_distance")
+       for block, defect in (("source", "nan"), ("target", "inf"), ("target", "rows"))]
+)
+
+
+@pytest.mark.parametrize("statistic,block,defect", BLOCK_DEFECTS)
+def test_statistics_reject_a_bad_block_by_name(statistic, block, defect):
+    blocks = statistic_blocks()
+    STATISTICS[statistic](blocks)  # the valid blocks pass
+    if defect == "columns":
+        blocks[block] = blocks[block][:, :-1]
+    elif defect == "rows":
+        blocks[block] = blocks[block][:-1]
+    else:
+        blocks[block][-1, 3] = float(defect)
+    with pytest.raises(InputError, match=f"{block} block"):
+        STATISTICS[statistic](blocks)
+
+
+def test_one_dimensional_blocks():
+    rng = np.random.default_rng(9)
+    xs, xt = rng.normal(size=40), rng.normal(size=40) + 1.0
+    # a 1-d sample is one feature row
+    assert a_distance(xs, xt) == a_distance(xs[None, :], xt[None, :])
+    assert mmd(xs, xt) == mmd(xs[None, :], xt[None, :])
+    # the objective's gradient has the feature block's shape, so it takes 2-d only
+    b = statistic_blocks()
+    with pytest.raises(InputError, match="feature block"):
+        cond_objective(b["feature"][0], b["label"], b["domain"], None, 1e-2)
+
+
+@pytest.mark.parametrize("statistic", ["nocco", "cond", "per_class_nocco",
+                                       "cond_from_features"])
+def test_a_negative_permutation_count_is_a_config_error(statistic):
+    b = statistic_blocks()
+    kx = gram(b["feature"], KernelConfig.from_data(b["feature"]))
+    ky, kz = label_gram(b["label"]), label_gram(b["domain"])
+    calls = {
+        "nocco": lambda p: nocco(kx, kz, 1e-2, permutations=p),
+        "cond": lambda p: cond(product_gram(kx, ky), product_gram(kz, ky), ky, 1e-2,
+                               labels=b["labels"], permutations=p),
+        "per_class_nocco": lambda p: per_class_nocco(kx, kz, b["labels"], 1e-2,
+                                                     permutations=p),
+        "cond_from_features": lambda p: cond_from_features(
+            b["feature"], b["label"], b["domain"], 1e-2, labels=b["labels"],
+            permutations=p),
+    }
+    assert calls[statistic](0).permutation_pvalue is None
+    with pytest.raises(ConfigError, match="permutations"):
+        calls[statistic](-1)

@@ -284,6 +284,18 @@ def test_load_rejects_truncated_file(tmp_path):
         load_params(path)
 
 
+def test_load_rejects_a_non_integer_block_shape(tmp_path):
+    params = init_params(2, 4, 3, 2, seed=15)
+    path = tmp_path / "model.txt"
+    save_params(params, path)
+    lines = path.read_text().splitlines()
+    assert lines[1].startswith("g_w1 ")
+    lines[1] = "g_w1 a b"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="g_w1"):
+        load_params(path)
+
+
 def test_load_rejects_corrupt_floats(tmp_path):
     params = init_params(2, 4, 3, 2, seed=14)
     path = tmp_path / "model.txt"
