@@ -13,18 +13,18 @@ import sys
 import numpy as np
 
 from condadapt.data import chain_triple
-from condadapt.measures import cond_from_features
+from condadapt.measures import cond_from_features, convergence_probe
 
 
 def trend(sizes, repeats, rate):
     print(f"statistic vs n (epsilon = n^-{rate:g}, median of {repeats} repeats)")
-    for n in sizes:
+    gen = lambda n, seed: chain_triple(n, seed, classes=2, domains=2,
+                                       shift=0.0, noise_sd=0.5)
+    runs = [convergence_probe(gen, sizes, lambda n: float(n) ** -rate, seed=seed)
+            for seed in range(repeats)]
+    for i, n in enumerate(sizes):
         eps = float(n) ** -rate
-        vals = []
-        for seed in range(repeats):
-            x, y, z = chain_triple(n, seed, classes=2, domains=2,
-                                   shift=0.0, noise_sd=0.5)
-            vals.append(cond_from_features(x, y, z, eps).statistic)
+        vals = [run[i][1] for run in runs]
         print(f"  n={n:5d}  eps={eps:.4f}  median={np.median(vals):.5f}  "
               f"iqr=({np.percentile(vals, 25):.5f}, {np.percentile(vals, 75):.5f})")
 
@@ -53,7 +53,8 @@ def main(argv=None):
                     help="comma-separated sample counts for the trend study")
     ap.add_argument("--repeats", type=int, default=20)
     ap.add_argument("--rate", type=float, default=0.25,
-                    help="epsilon decay exponent")
+                    help="epsilon decay exponent; a rate of 1/3 or more breaks "
+                         "eps^3 * n -> infinity, and the probe warns")
     ap.add_argument("--test-n", type=int, default=600)
     ap.add_argument("--permutations", type=int, default=200)
     ap.add_argument("--test-seeds", type=int, default=10)

@@ -112,18 +112,7 @@ def _synthetic_spec(args, seed: int) -> data_mod.SyntheticSpec:
         noise_sd=args.noise_sd, num_sources=args.sources, seed=seed)
 
 
-def _triple_from_args(args, seed: int):
-    """(X, Y, Z) plus the dataset when one exists (None for chain synthetics)."""
-    if args.input is None:
-        spec = _synthetic_spec(args, seed)
-        if spec.kind is data_mod.SyntheticKind.CONDITIONAL_CHAIN:
-            return data_mod.make_conditional_chain(spec), None
-    ds = _dataset_from_args(args, seed, None)
-    y = None if ds.target_truth is None else np.hstack([ds.source_labels, ds.target_truth])
-    return (ds.features, y, ds.domain_matrix), ds
-
-
-def _dataset_from_args(args, seed: int, parser) -> data_mod.AdaptationDataset:
+def _dataset_from_args(args, seed: int) -> data_mod.AdaptationDataset:
     if args.input is not None:
         return data_mod.load_features(args.input)
     spec = _synthetic_spec(args, seed)
@@ -131,20 +120,22 @@ def _dataset_from_args(args, seed: int, parser) -> data_mod.AdaptationDataset:
         return data_mod.make_shifted_blobs(spec)
     if spec.kind is data_mod.SyntheticKind.ROTATED_MOONS:
         return data_mod.make_rotated_moons(spec)
-    parser.error("chain synthetics have no train/target split; use them with 'measure'")
+    return data_mod.make_conditional_chain(spec)
 
 
 def _cmd_measure(args, parser) -> dict:
-    (x, y, z), ds = _triple_from_args(args, args.seed)
+    ds = _dataset_from_args(args, args.seed)
+    x, z = ds.features, ds.domain_matrix
     eps, perms = args.epsilon, args.permutations
     if args.stat == "nocco":
         rep = measures.nocco_from_features(x, z, eps, permutations=perms, seed=args.seed)
         return _dependence_dict(rep)
     if args.stat in ("cond", "per-class-nocco"):
-        if y is None:
+        if ds.target_truth is None:
             raise InputError(f"--stat {args.stat} needs labels for every sample "
                              "(target rows are unlabeled)")
-        labels = np.asarray(y).argmax(axis=0)
+        y = np.hstack([ds.source_labels, ds.target_truth])
+        labels = y.argmax(axis=0)
         if args.stat == "cond":
             rep = measures.cond_from_features(x, y, z, eps, labels=labels,
                                               permutations=perms, seed=args.seed)
@@ -153,12 +144,9 @@ def _cmd_measure(args, parser) -> dict:
                                                          permutations=perms,
                                                          seed=args.seed)
         return _dependence_dict(rep)
-    if ds is None:
-        raise InputError(f"--stat {args.stat} compares source and target domains; "
-                         "chain synthetics do not define that split")
     if args.stat == "mmd":
         return {"statistic": measures.mmd(ds.source_features, ds.target), "kind": "mmd",
-                "n": int(ds.features.shape[1])}
+                "n": int(x.shape[1])}
     labels_s = labels_t = None
     if ds.target_truth is not None:
         labels_s = ds.source_labels.argmax(axis=0)
@@ -210,7 +198,7 @@ def _run_trials(args, parser, pretrained: dict, beta1=None, beta2=None, epsilon=
     share ``pretrained`` (seed -> pretraining), which reads no loss weight."""
     results = []
     for seed in _trial_seeds(args, parser):
-        ds = _dataset_from_args(args, seed, parser)
+        ds = _dataset_from_args(args, seed)
         cfg = _train_config(args, seed, beta1, beta2, epsilon)
         if seed not in pretrained:
             pretrained[seed] = pretrain(ds, cfg, init_params_for(ds, cfg))

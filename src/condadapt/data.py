@@ -16,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, InputError, ParseError
+from .kernels import as_block
 
 
 @dataclass
@@ -37,26 +38,24 @@ class AdaptationDataset:
     def __post_init__(self):
         if not self.sources:
             raise InputError("need at least one source domain")
-        self.sources = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-                        for x, y in self.sources]
-        self.target = np.asarray(self.target, dtype=float)
-        if not np.all(np.isfinite(self.target)):
-            raise InputError("target has non-finite values")
-        d = self.target.shape[0]
-        k = self.sources[0][1].shape[0]
+        self.target = as_block(self.target, "target")
+        sources = []
         for i, (x, y) in enumerate(self.sources):
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                raise InputError(f"source {i} has non-finite values")
-            if x.shape[0] != d:
-                raise InputError(f"source {i} feature dim {x.shape[0]} != target dim {d}")
-            if y.shape != (k, x.shape[1]):
-                raise InputError(f"source {i} labels must be ({k}, {x.shape[1]})")
-        if self.target.shape[1] < 1:
-            raise InputError("target domain has no samples")
+            x = as_block(x, f"source {i}")
+            sources.append((x, as_block(y, f"source {i} labels", x.shape[1])))
+            if x.shape[0] != self.dim:
+                raise InputError(f"source {i} has {x.shape[0]} feature rows, "
+                                 f"target has {self.dim}")
+        self.sources = sources
+        labels = [(f"source {i} labels", y) for i, (_, y) in enumerate(sources)]
         if self.target_truth is not None:
-            self.target_truth = np.asarray(self.target_truth, dtype=float)
-            if self.target_truth.shape != (k, self.target.shape[1]):
-                raise InputError("target_truth shape must match (classes, n_target)")
+            self.target_truth = as_block(self.target_truth, "target_truth", self.n_target)
+            labels.append(("target_truth", self.target_truth))
+        for name, y in labels:
+            if y.shape[0] != self.classes:
+                raise InputError(f"{name} has {y.shape[0]} rows, expected "
+                                 f"{self.classes} classes")
+            check_one_hot(y, name)
 
     @property
     def num_sources(self) -> int:
@@ -162,6 +161,14 @@ def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
     return out
 
 
+def check_one_hot(ys: np.ndarray, name: str = "label"):
+    """InputError naming the block unless every column of ys is one-hot."""
+    if not np.all((ys == 0.0) | (ys == 1.0)):
+        raise InputError(f"{name} block must be one-hot (entries 0 or 1)")
+    if not np.all(ys.sum(axis=0) == 1.0):
+        raise InputError(f"every {name} column must have exactly one 1")
+
+
 def make_shifted_blobs(spec: SyntheticSpec) -> AdaptationDataset:
     """Gaussian class blobs; the target domain is translated by the shift.
 
@@ -259,14 +266,22 @@ def chain_triple(n: int, seed: int, *, classes: int = 3, domains: int = 2,
     return x, y, z
 
 
-def make_conditional_chain(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spec-driven wrapper around ``chain_triple``; n = classes * domains * m."""
+def make_conditional_chain(spec: SyntheticSpec) -> AdaptationDataset:
+    """``chain_triple`` with classes * m samples in each of N + 1 domains.
+
+    Domains 0..N-1 are the sources and domain N the target, labeled for
+    evaluation.  The triple is ordered by domain, so basic column slices cut
+    it; a boolean mask would hand out F-ordered blocks.
+    """
     if spec.kind is not SyntheticKind.CONDITIONAL_CHAIN:
         raise ConfigError(f"spec kind is {spec.kind.value!r}, expected conditional chain")
     domains = spec.num_sources + 1
-    n = spec.classes * domains * spec.samples_per_class_per_domain
-    return chain_triple(n, spec.seed, classes=spec.classes, domains=domains,
-                        shift=spec.shift, noise_sd=spec.noise_sd)
+    m = spec.classes * spec.samples_per_class_per_domain
+    x, y, _ = chain_triple(domains * m, spec.seed, classes=spec.classes, domains=domains,
+                           shift=spec.shift, noise_sd=spec.noise_sd)
+    parts = [(x[:, d * m:(d + 1) * m], y[:, d * m:(d + 1) * m]) for d in range(domains)]
+    xt, yt = parts.pop()
+    return AdaptationDataset(sources=parts, target=xt, target_truth=yt)
 
 
 def save_features(dataset: AdaptationDataset, path, delimiter: str = ","):

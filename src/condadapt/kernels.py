@@ -98,18 +98,6 @@ def pairwise_sq_dists(x) -> np.ndarray:
     return d2
 
 
-def cross_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances between columns of a and columns of b, two blocks
-    with the same number of rows."""
-    d2 = (
-        np.einsum("ij,ij->j", a, a)[:, None]
-        + np.einsum("ij,ij->j", b, b)[None, :]
-        - 2.0 * (a.T @ b)
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def is_constant_block(m) -> bool:
     """True when every column of m equals the first, compared exactly."""
     m = as_block(m, "data")

@@ -48,7 +48,6 @@ from .kernels import (
     as_block,
     center,
     check_epsilon,
-    cross_sq_dists,
     gram,
     is_constant_block,
     label_gram,
@@ -348,17 +347,16 @@ def mmd(xa, xb, cfg: KernelConfig | None = None) -> float:
     mean(K_AA) + mean(K_BB) - 2 mean(K_AB) under a shared Gaussian kernel
     between the source sample xa and the target sample xb, blocks with the
     same rows; with cfg=None the bandwidth is fitted on the pooled columns.
-    All three blocks go through the same cross-distance path so xa == xb
-    gives exactly 0.
+    The three blocks are cut from one Gram of the pooled columns, which gives
+    equal columns equal rows, so xa == xb gives exactly 0.
     """
     xa, xb = _two_samples(xa, xb)
+    pooled = np.hstack([xa, xb])
     if cfg is None:
-        cfg = KernelConfig.from_data(np.hstack([xa, xb]))
-    s2 = cfg.bandwidth_sq
-    kaa = np.exp(-cross_sq_dists(xa, xa) / s2)
-    kbb = np.exp(-cross_sq_dists(xb, xb) / s2)
-    kab = np.exp(-cross_sq_dists(xa, xb) / s2)
-    return float(kaa.mean() + kbb.mean() - 2.0 * kab.mean())
+        cfg = KernelConfig.from_data(pooled)
+    k = gram(pooled, cfg).entries
+    na = xa.shape[1]
+    return float(k[:na, :na].mean() + k[na:, na:].mean() - 2.0 * k[:na, na:].mean())
 
 
 def _adam_logistic(x_train: np.ndarray, y_train: np.ndarray,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import check_one_hot
 from .errors import InputError, ParseError
 
 LOG_CLAMP = 1e-12
@@ -125,20 +126,13 @@ def backward_pass(params: ModelParams, state: ForwardState, dlogits,
     return [g_w1_g, g_b1_g, g_w2_g, g_b2_g, c_w_g, c_b_g]
 
 
-def _check_one_hot(ys: np.ndarray):
-    if not np.all((ys == 0.0) | (ys == 1.0)):
-        raise InputError("label matrix must be one-hot (entries 0 or 1)")
-    if not np.all(ys.sum(axis=0) == 1.0):
-        raise InputError("every label column must have exactly one 1")
-
-
 def loss_ce(probs, ys) -> float:
     """Summed cross-entropy -sum_ij y_ij log p_ij over labeled columns."""
     probs = np.asarray(probs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if probs.shape != ys.shape:
         raise InputError(f"probability shape {probs.shape} != label shape {ys.shape}")
-    _check_one_hot(ys)
+    check_one_hot(ys)
     return float(-np.sum(ys * np.log(np.maximum(probs, LOG_CLAMP))))
 
 

@@ -41,17 +41,16 @@ def test_family_defaults_match_the_explicit_spec(family, kind, classes, shift):
     # default flags: 50 per class, noise sd 0.5, one source, seed 0
     args = cli.build_parser().parse_args(["measure", "--synthetic", family,
                                           "--stat", "cond"])
-    got, _ = cli._triple_from_args(args, args.seed)
     spec = SyntheticSpec(kind=kind, classes=classes, samples_per_class_per_domain=50,
                          shift=shift, noise_sd=0.5, num_sources=1, seed=0)
-    if kind is SyntheticKind.CONDITIONAL_CHAIN:
-        want = make_conditional_chain(spec)
-    else:
-        make = make_shifted_blobs if kind is SyntheticKind.SHIFTED_BLOBS else make_rotated_moons
-        ds = make(spec)
-        want = (ds.features, np.hstack([ds.source_labels, ds.target_truth]), ds.domain_matrix)
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a, b)
+    make = {SyntheticKind.SHIFTED_BLOBS: make_shifted_blobs,
+            SyntheticKind.ROTATED_MOONS: make_rotated_moons,
+            SyntheticKind.CONDITIONAL_CHAIN: make_conditional_chain}[kind]
+    got, want = cli._dataset_from_args(args, args.seed), make(spec)
+    np.testing.assert_array_equal(got.features, want.features)
+    np.testing.assert_array_equal(np.hstack([got.source_labels, got.target_truth]),
+                                  np.hstack([want.source_labels, want.target_truth]))
+    np.testing.assert_array_equal(got.domain_matrix, want.domain_matrix)
 
 
 # measure
@@ -95,6 +94,33 @@ def test_measure_mmd_and_a_distance_reports(capsys):
     assert res["kind"] == "a-distance"
     assert 0 <= res["d_a"] <= 2
     assert len(res["per_class"]) == 2
+
+
+CHAIN_TINY = ["--per-class", "10", "--pretrain-epochs", "5", "--adapt-epochs", "2",
+              "--hidden", "8", "--rep-dim", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--synthetic", "chain-dep", "--baseline"] + CHAIN_TINY,
+    ["sweep", "--synthetic", "chain-ci", "--beta1-grid", "0,0.01",
+     "--beta2-grid", "0.005"] + CHAIN_TINY,
+    ["measure", "--synthetic", "chain-ci", "--per-class", "10", "--stat", "mmd"],
+    ["measure", "--synthetic", "chain-ci", "--per-class", "10", "--stat", "a-distance"],
+], ids=["train", "sweep", "mmd", "a-distance"])
+def test_chains_run_in_every_command(argv, capsys):
+    # a chain's last domain is the target, labeled for evaluation
+    rc, rep, err = run(capsys, argv)
+    assert rc == 0, err
+    res = rep["results"]
+    if argv[0] == "train":
+        assert 0.0 <= res["accuracy_mean"] <= 1.0
+        assert len(res["baseline"]["per_trial_accuracy"]) == 1
+    elif argv[0] == "sweep":
+        assert res["cells"] == 2 and all("rep_cond" in r for r in res["rows"])
+    elif argv[-1] == "mmd":
+        assert res["statistic"] > 0 and res["n"] == 2 * 3 * 10
+    else:
+        assert 0 <= res["d_a"] <= 2 and len(res["per_class"]) == 3
 
 
 def test_measure_rejects_unlabeled_target_for_cond(tmp_path, capsys):

@@ -16,7 +16,7 @@ from condadapt.data import (
     make_shifted_blobs,
     save_features,
 )
-from condadapt.errors import ConfigError, ParseError
+from condadapt.errors import ConfigError, InputError, ParseError
 from condadapt.measures import mmd
 
 
@@ -155,13 +155,63 @@ def test_dataset_type_lives_below_the_trainer():
     assert trainer.AdaptationDataset is AdaptationDataset
 
 
+def _bad_dataset_blocks(case):
+    rng = np.random.default_rng(3)
+    xs, xt = rng.normal(size=(2, 8)), rng.normal(size=(2, 5))
+    ys = np.eye(2)[:, np.arange(8) % 2]
+    yt = np.eye(2)[:, np.arange(5) % 2]
+    if case == "3-d target":
+        xt = xt[:, :, None]
+    elif case == "empty source":
+        xs, ys = xs[:, :0], ys[:, :0]
+    elif case == "nan target_truth":
+        yt[0, 2] = float("nan")
+    elif case == "1-d target":
+        xt = xt[0]
+    elif case == "soft source labels":
+        ys = np.full((2, 8), 0.5)
+    elif case == "soft target_truth":
+        yt[:, 1] = [0.25, 0.75]
+    return dict(sources=[(xs, ys)], target=xt, target_truth=yt)
+
+
+@pytest.mark.parametrize("case,message", [
+    ("3-d target", "target block has shape"),
+    ("empty source", "source 0 block has shape"),
+    ("nan target_truth", "target_truth block contains non-finite"),
+    ("1-d target", "source 0 has 2 feature rows, target has 1"),
+    ("soft source labels", "source 0 labels block must be one-hot"),
+    ("soft target_truth", "target_truth block must be one-hot"),
+])
+def test_dataset_rejects_a_bad_block_by_name(case, message):
+    AdaptationDataset(**_bad_dataset_blocks(None))  # the valid blocks pass
+    with pytest.raises(InputError, match=message):
+        AdaptationDataset(**_bad_dataset_blocks(case))
+
+
 def test_conditional_chain_wrapper_counts():
     spec = SyntheticSpec(kind=SyntheticKind.CONDITIONAL_CHAIN, classes=3,
                          samples_per_class_per_domain=10, num_sources=2,
                          noise_sd=0.5, seed=0)
-    x, y, z = make_conditional_chain(spec)
-    assert x.shape[1] == 3 * 3 * 10
-    assert z.shape[0] == 3
+    ds = make_conditional_chain(spec)
+    assert ds.features.shape[1] == 3 * 3 * 10
+    assert ds.domain_matrix.shape[0] == 3
+
+
+@pytest.mark.parametrize("num_sources", [1, 2])
+def test_conditional_chain_dataset_is_the_triple_split_by_domain(num_sources):
+    spec = SyntheticSpec(kind=SyntheticKind.CONDITIONAL_CHAIN, classes=3,
+                         samples_per_class_per_domain=12, num_sources=num_sources,
+                         shift=1.0, noise_sd=0.5, seed=7)
+    ds = make_conditional_chain(spec)
+    x, y, z = chain_triple(3 * 12 * (num_sources + 1), 7, classes=3,
+                           domains=num_sources + 1, shift=1.0, noise_sd=0.5)
+    assert ds.num_sources == num_sources
+    got = (ds.features, np.hstack([ds.source_labels, ds.target_truth]), ds.domain_matrix)
+    for a, b in zip(got, (x, y, z)):
+        assert a.flags.c_contiguous
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 # file round-trips

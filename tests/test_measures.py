@@ -581,6 +581,8 @@ def test_per_class_all_skipped_degenerate():
 def test_mmd_identical_samples_exact_zero():
     x = random_features(2, n=25)
     assert mmd(x, x) == 0.0
+    dup = x[:, [0, 1, 1, 2, 3, 3, 3, 0]]  # duplicate columns
+    assert mmd(dup, dup) == 0.0
 
 
 def test_mmd_point_masses_closed_form():
