@@ -16,12 +16,17 @@ The push-through identity turns each normalization into a small solve,
     R = V A V^T,        A = M' (W M' + ne I)^{-1},
     S R_Zt S = V Q V^T, Q = T A_Zt T^T,  T = I - A_Y W = ne (M'_Y W + ne I)^{-1}.
 
-The one n x n factorization left is that of G_Xt + ne I, solved against
-V's c - 1 columns: P = (G_Xt + ne I)^{-1} V.  The value and the chain to
-the features are then
+The one n x n quantity left is P = (G_Xt + ne I)^{-1} V.  V's columns
+sum to zero, so P lies in 1-perp and needs no centered Gram: with
+B = (K_Xt + ne I)^{-1}, one Cholesky factor of the uncentered K_Xt + ne I
+solved against [V | 1] gives BV and B1, and the rank-one correction
+
+    P = B (V + 1 a^T) = BV - (B1)(1^T BV) / (1^T B1)
+
+puts P in 1-perp.  The value and the chain to the features are then
 
     L         = Tr(Q (W - ne V^T P))
-    dL/dK_Xt  = ne * (HP) Q (HP)^T              (symmetric)
+    dL/dK_Xt  = ne * P Q P^T
     dL/dK_X   = dL/dK_Xt * K_Y                  (elementwise)
     dL/dX     = (4 / s2) * X (E - diag(E 1)),  E = dL/dK_X * K_X,
 
@@ -141,15 +146,20 @@ def cond_cells(xre: np.ndarray, y: np.ndarray, z: np.ndarray, cfgs: CondKernelCo
     under the bandwidths of ``cfgs``, M_Y is None for a constant label
     kernel, and K_Xt = K_X * M_Y[cell, cell] is the n x n extended Gram.
     """
-    kx = np.exp(-pairwise_sq_dists(xre) / cfgs.x.bandwidth_sq)
-    if not np.all(np.isfinite(kx)):
+    # built in place; dividing by -s2 gives the bits of exp(-d2 / s2)
+    kxt = pairwise_sq_dists(xre)
+    np.divide(kxt, -cfgs.x.bandwidth_sq, out=kxt)
+    np.exp(kxt, out=kxt)
+    if not np.all(np.isfinite(kxt)):
         raise NumericalError("feature kernel matrix has non-finite entries")
     cells, cell = np.unique(np.vstack([y, z]), axis=1, return_inverse=True)
     cell = cell.ravel()
     my = _cell_gram(cells[:y.shape[0]], cfgs.y)
     mzt = _cell_gram(cells[y.shape[0]:], cfgs.z) * my
-    kxt = kx * my[np.ix_(cell, cell)]
-    return kxt, cell, None if cfgs.y is None else my, mzt
+    if cfgs.y is None:  # M_Y is all ones
+        return kxt, cell, None, mzt
+    kxt *= my[cell][:, cell]
+    return kxt, cell, my, mzt
 
 
 def ridge_cholesky(kxt: np.ndarray, ridge: float):
@@ -183,13 +193,18 @@ def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
     kxt, cell, my, mzt = cond_cells(xre, y, z, cfgs)
     ridge = n * epsilon
     v, w, q, _ = cell_terms(cell, my, mzt, ridge)
-    factor = ridge_cholesky(kxt, ridge)
-    p = scipy.linalg.cho_solve(factor, v, check_finite=False)
-    p -= p.mean(axis=0)  # H P equals P in exact arithmetic
+    # K_Xt is exactly symmetric, so a copy's transpose is a Fortran-ordered
+    # K_Xt that LAPACK factors in place; E reuses the buffer afterwards
+    work = kxt.copy()
+    factor = ridged_cho_factor(work.T, ridge)
+    sol = scipy.linalg.cho_solve(factor, np.hstack([v, np.ones((n, 1))]),
+                                 check_finite=False)
+    p, b1 = sol[:, :-1], sol[:, -1]
+    p -= np.outer(b1, p.sum(axis=0) / b1.sum())  # P = B (V + 1 a^T) lies in 1-perp
     value = float(np.sum(q * (w - ridge * (v.T @ p))))
 
-    dk = ridge * (p @ q @ p.T)
-    e = 0.5 * (dk + dk.T) * kxt
+    e = np.matmul(p @ (ridge * q), p.T, out=work)
+    e *= kxt
     grad = (4.0 / cfgs.x.bandwidth_sq) * (xre @ e - xre * e.sum(axis=1)[None, :])
     if not np.all(np.isfinite(grad)):
         raise NumericalError("gradient assembly produced non-finite entries")

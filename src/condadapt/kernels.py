@@ -92,7 +92,10 @@ def pairwise_sq_dists(x) -> np.ndarray:
     if x.itemsize not in x.strides:
         x = np.ascontiguousarray(x)
     sq = np.einsum("ij,ij->j", x, x)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x.T @ x)
+    g = x.T @ x
+    g *= 2.0
+    d2 = np.add.outer(sq, sq)
+    d2 -= g
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2
@@ -174,10 +177,13 @@ def center(k) -> np.ndarray:
 
 
 def ridged_cho_factor(g: np.ndarray, ridge: float):
-    """Lower Cholesky factor of g + ridge * I in ``cho_factor`` form; adds the ridge to g."""
+    """Lower Cholesky factor of g + ridge * I in ``cho_factor`` form; adds the ridge to g.
+
+    A Fortran-ordered g is factored in place and holds the factor afterwards.
+    """
     g.flat[::g.shape[0] + 1] += ridge
     try:
-        return scipy.linalg.cho_factor(g, lower=True, check_finite=False)
+        return scipy.linalg.cho_factor(g, lower=True, overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"regularized Gram is not positive definite: {exc}") from exc
 

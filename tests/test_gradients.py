@@ -3,13 +3,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from condadapt.data import chain_triple
 from condadapt.errors import ConfigError, InputError
 from condadapt.gradients import (
     CondKernelConfig,
     GradCheckReport,
+    cond_cells,
     cond_objective,
     finite_diff_check,
 )
+from condadapt.kernels import KernelConfig, pairwise_sq_dists
 from condadapt.measures import cond_from_features, nocco_from_features
 
 
@@ -156,6 +159,67 @@ def test_domain_as_a_function_of_the_label_is_resolved():
          1.4801311206486876e-12, 1.234765038551307e-12]])
     assert value == pytest.approx(5.3448637245882349e-8, rel=1e-12, abs=0.0)
     assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("epsilon", [1e-4, 1e-6])
+def test_near_degenerate_gram_matches_dense_oracle(epsilon):
+    # sigma^2_X far above the spread puts K_X within about 1e-9 of 11^T, where
+    # the uncentered factor and its rank-one correction lose the most digits.
+    # Against the same formulas in 64-bit-mantissa arithmetic, the dense
+    # oracle and cond_objective are both within 5e-8 (eps 1e-4) and 1e-6
+    # (eps 1e-6) relative on the value, and 4e-11 on the gradient.
+    rng = np.random.default_rng(0)
+    n = 300
+    xre = 5e-6 * rng.normal(size=(3, n))
+    y = one_hot(rng.integers(0, 3, size=n), 3)
+    z = one_hot(rng.integers(0, 2, size=n), 2)
+    fitted = CondKernelConfig.resolve(xre, y, z)
+    cfgs = CondKernelConfig(KernelConfig(1.0), fitted.y, fitted.z)
+    assert np.max(pairwise_sq_dists(xre)) < 2e-9
+
+    value, grad = cond_objective(xre, y, z, cfgs, epsilon)
+    ref_value, ref_grad = dense_cond_objective(xre, y, z, cfgs, epsilon)
+    value_tol, grad_tol = (1e-6, 1e-10) if epsilon == 1e-4 else (2e-5, 1e-9)
+    assert abs(value - ref_value) <= value_tol * abs(ref_value)
+    assert np.max(np.abs(grad - ref_grad)) <= grad_tol * np.max(np.abs(ref_grad))
+
+
+@pytest.mark.parametrize("labels", ["hard", "soft", "constant"])
+def test_cond_cells_builds_the_plain_extended_gram(labels):
+    # the permutation tests factor this K_Xt, and their p-values compare
+    # replicates with the statistic, so it keeps every bit of the plain product
+    rng = np.random.default_rng(12)
+    n = 40
+    xre = rng.normal(size=(5, n))
+    if labels == "hard":
+        y = one_hot(rng.integers(0, 3, size=n), 3)
+    elif labels == "soft":
+        logits = rng.normal(size=(3, n))
+        y = np.exp(logits) / np.exp(logits).sum(axis=0)
+    else:
+        y = np.ones((1, n))
+    z = one_hot(rng.integers(0, 2, size=n), 2)
+    cfgs = CondKernelConfig.resolve(xre, y, z)
+    kxt, cell, my, _ = cond_cells(xre, y, z, cfgs)
+    my_cells = np.ones((cell.max() + 1,) * 2) if my is None else my
+    expected = (np.exp(-pairwise_sq_dists(xre) / cfgs.x.bandwidth_sq)
+                * my_cells[np.ix_(cell, cell)])
+    assert (my is None) == (labels == "constant")
+    assert kxt.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shift, statistic, pvalue", [
+    (0.0, 0.09643238315677338, 0.5472636815920398),
+    (1.0, 0.13517903768547623, 0.004975124378109453),
+])
+def test_seeded_conditional_test_report_is_unchanged(shift, statistic, pvalue):
+    # seeded reports of the permutation test, which shares cond_cells with the
+    # objective; the statistic may move by rounding across BLAS builds
+    x, y, z = chain_triple(120, 7, classes=3, domains=2, shift=shift, noise_sd=0.5)
+    rep = cond_from_features(x, y, z, 120 ** -0.25, labels=y.argmax(axis=0),
+                             permutations=200, seed=11)
+    assert rep.statistic == pytest.approx(statistic, rel=1e-12, abs=0.0)
+    assert rep.permutation_pvalue == pvalue
 
 
 # gradient correctness
