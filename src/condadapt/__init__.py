@@ -26,9 +26,7 @@ from .measures import (
     cond_from_features,
     convergence_probe,
     mmd,
-    nocco,
     nocco_from_features,
-    per_class_nocco,
     per_class_nocco_from_features,
 )
 from .gradients import (

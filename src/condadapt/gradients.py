@@ -48,9 +48,7 @@ from .errors import InputError, NumericalError
 from .kernels import (
     KernelConfig,
     as_block,
-    center,
     check_epsilon,
-    gram,
     is_constant_block,
     pairwise_sq_dists,
     ridged_cho_factor,
@@ -91,9 +89,15 @@ def _label_config(m) -> KernelConfig | None:
 
 
 def _cell_gram(cells: np.ndarray, cfg: KernelConfig | None) -> np.ndarray:
+    c = cells.shape[1]
     if cfg is None:
-        return np.ones((cells.shape[1], cells.shape[1]))
-    return gram(cells, cfg).entries
+        return np.ones((c, c))
+    # direct differences: exact for one-hot cells, no cancellation for soft ones
+    d2 = np.zeros((c, c))
+    for row in cells:  # one block row at a time keeps memory at c^2
+        d2 += np.square(row[:, None] - row[None, :])
+    np.divide(d2, -cfg.bandwidth_sq, out=d2)
+    return np.exp(d2, out=d2)
 
 
 def _contrast(m: np.ndarray, keep: np.ndarray, ref: int) -> np.ndarray:
@@ -160,11 +164,6 @@ def cond_cells(xre: np.ndarray, y: np.ndarray, z: np.ndarray, cfgs: CondKernelCo
         return kxt, cell, None, mzt
     kxt *= my[cell][:, cell]
     return kxt, cell, my, mzt
-
-
-def ridge_cholesky(kxt: np.ndarray, ridge: float):
-    """Lower Cholesky factor of H K_Xt H + ne I, in ``cho_factor`` form."""
-    return ridged_cho_factor(center(kxt), ridge)
 
 
 def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,

@@ -13,11 +13,11 @@ n grows with eps_n -> 0, eps_n^3 * n -> infinity.
 
 One core, ``_null_core``, computes every statistic and permutation
 replicate.  The plain statistic is the conditional one with a constant label
-kernel (R_Y = 0, so S = I); the per-class one runs the core per class.  It
+block (R_Y = 0, so S = I); the per-class one runs the core per class.  It
 uses the cells of ``gradients.cell_terms``, S R_Zt S = V Q V^T: the distinct
-columns of the stacked (Y; Z) block (``cond_from_features``, as in training)
-or the distinct rows of [K_Y | K_Zt] (the Gram routes).  With
-B = (G_Xt + n*eps*I)^{-1} the value is Tr(Q (W - n*eps*V^T B V)).
+columns of the stacked (Y; Z) block (``gradients.cond_cells``) or, in
+``cond``, the one route from given Grams, the distinct rows of [K_Y | K_Zt].
+With B = (G_Xt + n*eps*I)^{-1} the value is Tr(Q (W - n*eps*V^T B V)).
 
 A shuffle within the label classes only permutes the rows of V, so a
 replicate needs V_pi^T B V_pi alone.  A cost model in n, c and the replicate
@@ -32,7 +32,7 @@ rounding of the statistic), is an exact tie and gets the statistic's value.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -41,7 +41,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, DegenerateDataError, InputError, NumericalError
-from .gradients import CondKernelConfig, cell_terms, cond_cells, ridge_cholesky
+from .gradients import CondKernelConfig, cell_terms, cond_cells
 from .kernels import (
     GramMatrix,
     KernelConfig,
@@ -50,7 +50,7 @@ from .kernels import (
     check_epsilon,
     gram,
     is_constant_block,
-    label_gram,
+    ridged_cho_factor,
 )
 from .trainer import AdamConfig, AdamState, adam_step
 
@@ -108,12 +108,6 @@ def _pvalue(stat: float, null: np.ndarray) -> float | None:
     return float((1 + np.count_nonzero(null >= stat)) / (1 + null.shape[0]))
 
 
-def _finite_grams(**grams: GramMatrix):
-    for name, k in grams.items():
-        if not np.all(np.isfinite(k.entries)):
-            raise NumericalError(f"non-finite entries in {name}")
-
-
 def _null_classes(labels, rows: np.ndarray, what: str) -> list[np.ndarray]:
     """Index array of each class of ``labels``, in ``np.unique`` order.
 
@@ -167,7 +161,7 @@ def _null_core(kxt: np.ndarray, cell: np.ndarray, my: np.ndarray | None,
     n, c = cell.shape[0], mzt.shape[0]
     ridge = n * epsilon
     v, w, q, keep = cell_terms(cell, my, mzt, ridge)
-    factor, _ = ridge_cholesky(kxt, ridge)
+    factor, _ = ridged_cho_factor(center(kxt), ridge)  # of H K_Xt H + ne I
     base = float(np.sum(q * w))
     # a shuffle that keeps every sample in its cell fixes K_Zt: a tie
     moved = np.flatnonzero(np.any(cell[perms] != cell[:, None], axis=0))
@@ -209,30 +203,6 @@ def _null_core(kxt: np.ndarray, cell: np.ndarray, my: np.ndarray | None,
     return stat, values
 
 
-def _gram_null(kxt: np.ndarray, kzt: np.ndarray, ky: np.ndarray | None,
-               epsilon: float, perms: np.ndarray) -> tuple[float, np.ndarray]:
-    """``_null_core`` from n x n Grams, ``ky`` None for a constant label
-    kernel: two samples share a cell when their rows of [K_Y | K_Zt] are equal."""
-    rows = kzt if ky is None else np.hstack([ky, kzt])
-    ids: dict[bytes, int] = {}
-    cell = np.array([ids.setdefault(r.tobytes(), len(ids)) for r in rows], dtype=np.intp)
-    first = np.unique(cell, return_index=True)[1]
-    my = None if ky is None or is_constant_block(ky) else ky[np.ix_(first, first)]
-    return _null_core(kxt, cell, my, kzt[np.ix_(first, first)], epsilon, perms)
-
-
-def nocco(kx: GramMatrix, kz: GramMatrix, epsilon: float, *,
-          permutations: int = 0, seed: int = 0) -> DependenceReport:
-    """Dependence statistic Tr(R_Z R_X) between two kernelized blocks.
-
-    It is ``cond`` with a constant label kernel and one class holding every
-    sample: replicate i shuffles by ``default_rng(seed + i).permutation(n)``.
-    """
-    rep = cond(kx, kz, GramMatrix(np.ones((kx.n, kx.n))), epsilon,
-               labels=np.zeros(kx.n, dtype=int), permutations=permutations, seed=seed)
-    return replace(rep, kind=StatKind.NOCCO)
-
-
 def cond(kxt: GramMatrix, kzt: GramMatrix, ky: GramMatrix, epsilon: float, *,
          labels: np.ndarray | None = None, permutations: int = 0,
          seed: int = 0) -> DependenceReport:
@@ -247,59 +217,35 @@ def cond(kxt: GramMatrix, kzt: GramMatrix, ky: GramMatrix, epsilon: float, *,
     check_epsilon(epsilon)
     if not (kxt.n == kzt.n == ky.n):
         raise InputError(f"sample-count mismatch {kxt.n}, {kzt.n}, {ky.n}")
-    _finite_grams(K_Xt=kxt, K_Zt=kzt, K_Y=ky)
+    for name, k in (("K_Xt", kxt), ("K_Zt", kzt), ("K_Y", ky)):
+        if not np.all(np.isfinite(k.entries)):
+            raise NumericalError(f"non-finite entries in {name}")
     classes = _null_classes(labels, ky.entries, "K_Y rows") if permutations > 0 else []
-    stat, null = _gram_null(kxt.entries, kzt.entries, ky.entries, epsilon,
-                            _shuffles(classes, ky.n, permutations, seed))
+    # two samples share a cell when their rows of [K_Y | K_Zt] are equal
+    ids: dict[bytes, int] = {}
+    cell = np.array([ids.setdefault(r.tobytes(), len(ids))
+                     for r in np.hstack([ky.entries, kzt.entries])], dtype=np.intp)
+    first = np.unique(cell, return_index=True)[1]
+    my = None if is_constant_block(ky.entries) else ky.entries[np.ix_(first, first)]
+    stat, null = _null_core(kxt.entries, cell, my, kzt.entries[np.ix_(first, first)],
+                            epsilon, _shuffles(classes, ky.n, permutations, seed))
     return DependenceReport(stat, StatKind.COND, ky.n, float(epsilon), _pvalue(stat, null))
 
 
-def per_class_nocco(kx: GramMatrix, kz: GramMatrix, labels, epsilon: float, *,
-                    permutations: int = 0, seed: int = 0) -> DependenceReport:
-    """Class-size-weighted mean of the plain statistic restricted to each class.
-
-    A class is skipped (with a warning) when it has fewer than 2 samples or
-    its restricted Z block is constant, i.e. only one domain is present.
-    Replicate i shuffles within every kept class, drawing from
-    ``default_rng(seed + i)`` in ``np.unique`` order.
-    """
+def nocco_from_features(x, z, epsilon: float, *, permutations: int = 0,
+                        seed: int = 0) -> DependenceReport:
+    """Plain statistic Tr(R_Z R_X) from raw (d, n) feature and domain blocks:
+    the conditional one with a constant label block.  Its null has one class,
+    so replicate i shuffles by ``default_rng(seed + i).permutation(n)``."""
     check_epsilon(epsilon)
-    if kx.n != kz.n:
-        raise InputError(f"sample-count mismatch {kx.n} vs {kz.n}")
-    labels = np.asarray(labels).ravel()
-    if labels.shape[0] != kx.n:
-        raise InputError(f"labels length {labels.shape[0]} != sample count {kx.n}")
-    _finite_grams(K_X=kx, K_Z=kz)
-
-    classes = [np.flatnonzero(labels == c) for c in np.unique(labels)]
-    kept = [idx for idx in classes
-            if idx.shape[0] >= 2 and not is_constant_block(kz.entries[np.ix_(idx, idx)])]
-    skipped = len(classes) - len(kept)
-    if skipped:
-        warnings.warn(f"per-class statistic skipped {skipped} class(es) with <2 samples "
-                      "or a single domain", stacklevel=2)
-    if not kept:
-        raise DegenerateDataError("no class has at least 2 samples from at least 2 domains")
-
-    perms = _shuffles(kept, kx.n, permutations, seed)
-    total = sum(idx.shape[0] for idx in kept)
-    # summed in class order, so a replicate that ties in every class ties exactly
-    stat, null = 0.0, np.zeros(perms.shape[1])
-    for idx in kept:
-        block = np.ix_(idx, idx)
-        s, values = _gram_null(kx.entries[block], kz.entries[block], None, epsilon,
-                               np.searchsorted(idx, perms[idx]))
-        stat += (idx.shape[0] / total) * s
-        null += (idx.shape[0] / total) * values
-    return DependenceReport(stat, StatKind.PER_CLASS_NOCCO, kx.n, float(epsilon),
-                            _pvalue(stat, null), skipped)
-
-
-def nocco_from_features(x, z, epsilon: float, **kw) -> DependenceReport:
-    """Plain statistic from raw matrices; fits bandwidths, builds label-safe Grams."""
     x = as_block(x, "feature")
-    z = as_block(z, "domain", x.shape[1])
-    return nocco(gram(x, KernelConfig.from_data(x)), label_gram(z), epsilon, **kw)
+    n = x.shape[1]
+    z = as_block(z, "domain", n)
+    y = np.zeros((1, n))
+    perms = _shuffles([np.arange(n)], n, permutations, seed)
+    kxt, cell, my, mzt = cond_cells(x, y, z, CondKernelConfig.resolve(x, y, z))
+    stat, null = _null_core(kxt, cell, my, mzt, epsilon, perms)
+    return DependenceReport(stat, StatKind.NOCCO, n, float(epsilon), _pvalue(stat, null))
 
 
 def cond_from_features(x, y, z, epsilon: float, *, labels=None, permutations: int = 0,
@@ -323,12 +269,49 @@ def cond_from_features(x, y, z, epsilon: float, *, labels=None, permutations: in
     return DependenceReport(stat, StatKind.COND, n, float(epsilon), _pvalue(stat, null))
 
 
-def per_class_nocco_from_features(x, z, labels, epsilon: float, **kw) -> DependenceReport:
-    """Per-class statistic from raw feature and domain matrices."""
+def per_class_nocco_from_features(x, z, labels, epsilon: float, *, permutations: int = 0,
+                                  seed: int = 0) -> DependenceReport:
+    """Class-size-weighted mean of the plain statistic restricted to each class.
+
+    Bandwidths are fitted on the whole blocks.  A class is skipped (with a
+    warning) when it has fewer than 2 samples or all its domain columns equal.
+    Replicate i shuffles within every kept class, drawing from
+    ``default_rng(seed + i)`` in ``np.unique`` order.
+    """
+    check_epsilon(epsilon)
     x = as_block(x, "feature")
-    z = as_block(z, "domain", x.shape[1])
-    return per_class_nocco(gram(x, KernelConfig.from_data(x)), label_gram(z),
-                           labels, epsilon, **kw)
+    n = x.shape[1]
+    z = as_block(z, "domain", n)
+    labels = np.asarray(labels).ravel()
+    if labels.shape[0] != n:
+        raise InputError(f"labels length {labels.shape[0]} != sample count {n}")
+    y = np.zeros((1, n))
+    cfgs = CondKernelConfig.resolve(x, y, z)
+
+    classes = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+    kept = [idx for idx in classes
+            if idx.shape[0] >= 2 and not is_constant_block(z[:, idx])]
+    skipped = len(classes) - len(kept)
+    if skipped:
+        warnings.warn(f"per-class statistic skipped {skipped} class(es) with <2 samples "
+                      "or a single domain", stacklevel=2)
+    if not kept:
+        raise DegenerateDataError("no class has at least 2 samples from at least 2 domains")
+
+    perms = _shuffles(kept, n, permutations, seed)
+    total = sum(idx.shape[0] for idx in kept)
+    # summed in class order, so a replicate that ties in every class ties exactly
+    stat, null = 0.0, np.zeros(perms.shape[1])
+    for idx in kept:
+        # np.take, unlike x[:, idx], keeps a C-ordered block, so a class of
+        # every sample gives the plain statistic bit for bit
+        kxt, cell, my, mzt = cond_cells(np.take(x, idx, axis=1), y[:, idx], z[:, idx], cfgs)
+        s, values = _null_core(kxt, cell, my, mzt, epsilon,
+                               np.searchsorted(idx, perms[idx]))
+        stat += (idx.shape[0] / total) * s
+        null += (idx.shape[0] / total) * values
+    return DependenceReport(stat, StatKind.PER_CLASS_NOCCO, n, float(epsilon),
+                            _pvalue(stat, null), skipped)
 
 
 def _two_samples(xs, xt) -> tuple[np.ndarray, np.ndarray]:

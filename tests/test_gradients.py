@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from condadapt.data import chain_triple
@@ -115,6 +115,9 @@ def dense_cond_objective(xre, y, z, cfgs, epsilon):
        domains=st.integers(2, 4), n=st.integers(2, 48),
        epsilon=st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4]),
        labels=st.sampled_from(["hard", "constant", "soft"]))
+# two soft label columns 3e-4 apart, whose cell distance the expanded form
+# lost to cancellation
+@example(seed=252, classes=2, domains=2, n=2, epsilon=0.1, labels="soft")
 def test_cell_factorization_matches_dense_oracle(seed, classes, domains, n,
                                                  epsilon, labels):
     # small n against up to 5 classes x 4 domains leaves empty classes and

@@ -28,9 +28,7 @@ from condadapt.measures import (
     cond_from_features,
     convergence_probe,
     mmd,
-    nocco,
     nocco_from_features,
-    per_class_nocco,
     per_class_nocco_from_features,
 )
 
@@ -49,17 +47,25 @@ def one_hot(labels, k):
     return y
 
 
+def plain_of_grams(kx, kz, epsilon):
+    """Plain statistic Tr(R_Z R_X) of given Grams: ``cond`` with an all-ones
+    K_Y and one label class holding every sample."""
+    return cond(kx, kz, GramMatrix(np.ones((kx.n, kx.n))), epsilon,
+                labels=np.zeros(kx.n, dtype=int))
+
+
 # nocco
 
 
 def test_nocco_two_by_two_closed_form():
-    # identical 1-D variables at distance 1: off-diagonal a = e^-1, centered
-    # eigenvalue (1 - a), normalized to (1-a)/((1-a) + n*eps), squared by the trace
+    # identical 1-D variables at distance 1, whose fitted sigma^2 is the mean
+    # squared distance 1/2: off-diagonal a = e^-2, centered eigenvalue (1 - a),
+    # normalized to (1-a)/((1-a) + n*eps), squared by the trace
     eps = 0.05
-    k = gram(np.array([[0.0, 1.0]]), UNIT)
-    a = math.exp(-1.0)
+    x = np.array([[0.0, 1.0]])
+    a = math.exp(-2.0)
     expected = ((1.0 - a) / ((1.0 - a) + 2.0 * eps)) ** 2
-    rep = nocco(k, k, eps)
+    rep = nocco_from_features(x, x, eps)
     assert rep.statistic == pytest.approx(expected, rel=1e-12)
     assert rep.kind is StatKind.NOCCO
     assert rep.n == 2
@@ -71,8 +77,8 @@ def test_nocco_self_dependence_eigen_oracle():
     k = gram(x, KernelConfig.from_data(x))
     lam = np.linalg.eigvalsh(center(k))
     expected = float(np.sum((lam / (lam + 40 * 1e-3)) ** 2))
-    assert nocco(k, k, 1e-3).statistic == pytest.approx(expected, rel=1e-10)
-    assert nocco(k, k, 1e-3).statistic > 0
+    assert plain_of_grams(k, k, 1e-3).statistic == pytest.approx(expected, rel=1e-10)
+    assert plain_of_grams(k, k, 1e-3).statistic > 0
 
 
 def test_nocco_independent_null_not_rejected():
@@ -84,38 +90,41 @@ def test_nocco_independent_null_not_rejected():
 
 
 def test_nocco_permutation_shortcut_matches_brute_rebuild():
-    # dual route: the null's shortcut must equal rebuilding the Gram from
-    # permuted raw domain columns and recomputing the statistic from scratch
+    # dual route: the null's shortcut must equal permuting the raw domain
+    # columns and recomputing the statistic from scratch
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 60))
     z = one_hot(rng.integers(0, 2, size=60), 2)
-    kx = gram(x, KernelConfig.from_data(x))
     eps = 1e-3
-    rep = nocco(kx, label_gram(z), eps, permutations=40, seed=9)
+    rep = nocco_from_features(x, z, eps, permutations=40, seed=9)
 
-    stat = nocco(kx, label_gram(z), eps).statistic
+    stat = nocco_from_features(x, z, eps).statistic
     hits = 0
     for i in range(40):
         perm = np.random.default_rng(9 + i).permutation(60)
-        rep_stat = nocco(kx, label_gram(z[:, perm]), eps).statistic
+        rep_stat = nocco_from_features(x, z[:, perm], eps).statistic
         if rep_stat >= stat:
             hits += 1
     assert rep.permutation_pvalue == pytest.approx((1 + hits) / 41.0, abs=1e-15)
 
 
 def test_nocco_size_mismatch():
-    k3 = GramMatrix(np.eye(3))
-    k4 = GramMatrix(np.eye(4))
+    x = random_features(2, n=4)
+    z3 = one_hot([0, 1, 0], 2)
     with pytest.raises(InputError):
-        nocco(k3, k4, 1e-3)
+        nocco_from_features(x, z3, 1e-3)
+    with pytest.raises(InputError):
+        per_class_nocco_from_features(x, z3, np.zeros(4, dtype=int), 1e-3)
+    with pytest.raises(InputError, match="labels length"):
+        per_class_nocco_from_features(x, one_hot([0, 1, 0, 1], 2), np.zeros(3, dtype=int),
+                                      1e-3)
 
 
 def test_nocco_of_a_constant_domain_kernel_is_zero_with_p_one():
     # one cell (c = 1): K_Z centers to 0, so R_Z = 0, and no shuffle moves
     # a sample out of its cell
     x = random_features(3, n=20)
-    kx = gram(x, KernelConfig.from_data(x))
-    rep = nocco(kx, GramMatrix(np.ones((20, 20))), 1e-2, permutations=30, seed=4)
+    rep = nocco_from_features(x, np.ones((1, 20)), 1e-2, permutations=30, seed=4)
     assert rep.statistic == 0.0
     assert rep.permutation_pvalue == 1.0
 
@@ -140,8 +149,8 @@ def test_cond_self_conditioning_bounded_by_plain():
         x = random_features(seed, n=25)
         k = gram(x, KernelConfig.from_data(x))
         bounded = cond(k, k, k, 1e-2).statistic
-        plain = nocco(k, k, 1e-2).statistic
-        assert bounded <= plain + 1e-12
+        unconditional = plain_of_grams(k, k, 1e-2).statistic
+        assert bounded <= unconditional + 1e-12
         assert bounded >= -1e-10
 
 
@@ -448,10 +457,9 @@ def test_cond_input_checks(case, error):
 def test_per_class_single_class_equals_plain():
     x = random_features(8, n=30)
     z = one_hot(np.random.default_rng(8).integers(0, 2, size=30), 2)
-    kx = gram(x, KernelConfig.from_data(x))
-    kz = label_gram(z)
     labels = np.zeros(30, dtype=int)
-    assert per_class_nocco(kx, kz, labels, 1e-3).statistic == nocco(kx, kz, 1e-3).statistic
+    assert (per_class_nocco_from_features(x, z, labels, 1e-3).statistic
+            == nocco_from_features(x, z, 1e-3).statistic)
 
 
 def test_per_class_ignores_proportion_shift():
@@ -475,11 +483,10 @@ def test_per_class_ignores_proportion_shift():
 
 def test_per_class_skips_thin_classes_with_warning():
     x = random_features(5, n=21)
-    kx = gram(x, KernelConfig.from_data(x))
     z = one_hot(np.random.default_rng(5).integers(0, 2, size=21), 2)
     labels = np.concatenate([np.zeros(20, dtype=int), [1]])
     with pytest.warns(UserWarning, match="skipped"):
-        rep = per_class_nocco(kx, label_gram(z), labels, 1e-3)
+        rep = per_class_nocco_from_features(x, z, labels, 1e-3)
     assert rep.skipped_classes == 1
 
 
@@ -544,14 +551,14 @@ def test_plain_and_per_class_nulls_match_the_dense_nulls(seed, n, z_kind, classe
     per_class = None
     with patch.object(measures, "_BINCOUNT_FLOPS", cost), warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # skipped classes
-        plain = nocco(kx, kz, epsilon, permutations=permutations, seed=seed)
+        plain = nocco_from_features(x, z, epsilon, permutations=permutations, seed=seed)
         if oracle is None:
             with pytest.raises(DegenerateDataError):
-                per_class_nocco(kx, kz, labels, epsilon, permutations=permutations,
-                                seed=seed)
+                per_class_nocco_from_features(x, z, labels, epsilon,
+                                              permutations=permutations, seed=seed)
         else:
-            per_class = per_class_nocco(kx, kz, labels, epsilon,
-                                        permutations=permutations, seed=seed)
+            per_class = per_class_nocco_from_features(x, z, labels, epsilon,
+                                                      permutations=permutations, seed=seed)
 
     perms = [np.random.default_rng(seed + i).permutation(n) for i in range(permutations)]
     checks = [(plain, dense_plain_null(kx.entries, kz.entries, epsilon, perms))]
@@ -565,14 +572,54 @@ def test_plain_and_per_class_nulls_match_the_dense_nulls(seed, n, z_kind, classe
         assert rep.permutation_pvalue == (1 + hits) / (1 + permutations)
 
 
+@pytest.mark.parametrize("shift, plain_stat, plain_p, per_class_stat, per_class_p", [
+    (0.0, 0.03823376586956406, 0.004975124378109453, 0.0038541546472525795,
+     0.572139303482587),
+    (2.0, 0.053363080459824075, 0.004975124378109453, 0.17494267159922008,
+     0.004975124378109453),
+])
+def test_seeded_plain_and_per_class_reports_are_unchanged(shift, plain_stat, plain_p,
+                                                          per_class_stat, per_class_p):
+    # seeded reports of the plain and per-class tests as the Gram route gave
+    # them; the statistics may move by rounding across BLAS builds
+    x, y, z = chain_triple(120, 7, classes=3, domains=2, shift=shift, noise_sd=0.5)
+    eps = 120 ** -0.25
+    rep = nocco_from_features(x, z, eps, permutations=200, seed=11)
+    assert rep.statistic == pytest.approx(plain_stat, rel=1e-12, abs=0.0)
+    assert rep.permutation_pvalue == plain_p
+    rep = per_class_nocco_from_features(x, z, y.argmax(axis=0), eps, permutations=200,
+                                        seed=11)
+    assert rep.statistic == pytest.approx(per_class_stat, rel=1e-12, abs=0.0)
+    assert rep.permutation_pvalue == per_class_p
+    assert rep.skipped_classes == 0
+
+
+def test_plain_statistic_matches_the_dense_trace_on_the_collapse_datasets():
+    # the 50 datasets of acceptance criterion 1, whose constant-label collapse
+    # now compares the cells route with itself: here the plain statistic is
+    # checked against a dense Tr(R_Z R_X) from normalized centered Grams
+    rng = np.random.default_rng(1001)
+    epsilons = [1e-2, 1e-4, 1e-6]
+    for i in range(50):
+        n = int(rng.integers(8, 201))
+        d = int(rng.integers(1, 6))
+        x = rng.normal(size=(d, n))
+        z = rng.normal(size=(2, n)) + 0.5 * x[:1]
+        eps = epsilons[i % 3]
+        rx = normalize(center(gram(x, KernelConfig.from_data(x))), eps)
+        rz = normalize(center(label_gram(z)), eps)
+        dense = float(np.sum(rz * rx))
+        stat = nocco_from_features(x, z, eps).statistic
+        assert abs(stat - dense) <= 1e-11 * abs(dense) + 1e-15 / eps
+
+
 def test_per_class_all_skipped_degenerate():
     x = random_features(5, n=10)
-    kx = gram(x, KernelConfig.from_data(x))
     z = one_hot(np.zeros(10, dtype=int), 1)  # single domain everywhere
     labels = np.zeros(10, dtype=int)
     with pytest.raises(DegenerateDataError):
         with pytest.warns(UserWarning):
-            per_class_nocco(kx, label_gram(z), labels, 1e-3)
+            per_class_nocco_from_features(x, z, labels, 1e-3)
 
 
 # mmd
@@ -815,11 +862,12 @@ def test_a_negative_permutation_count_is_a_config_error(statistic):
     kx = gram(b["feature"], KernelConfig.from_data(b["feature"]))
     ky, kz = label_gram(b["label"]), label_gram(b["domain"])
     calls = {
-        "nocco": lambda p: nocco(kx, kz, 1e-2, permutations=p),
+        "nocco": lambda p: nocco_from_features(b["feature"], b["domain"], 1e-2,
+                                               permutations=p),
         "cond": lambda p: cond(product_gram(kx, ky), product_gram(kz, ky), ky, 1e-2,
                                labels=b["labels"], permutations=p),
-        "per_class_nocco": lambda p: per_class_nocco(kx, kz, b["labels"], 1e-2,
-                                                     permutations=p),
+        "per_class_nocco": lambda p: per_class_nocco_from_features(
+            b["feature"], b["domain"], b["labels"], 1e-2, permutations=p),
         "cond_from_features": lambda p: cond_from_features(
             b["feature"], b["label"], b["domain"], 1e-2, labels=b["labels"],
             permutations=p),
