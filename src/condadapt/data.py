@@ -270,8 +270,7 @@ def make_conditional_chain(spec: SyntheticSpec) -> AdaptationDataset:
     """``chain_triple`` with classes * m samples in each of N + 1 domains.
 
     Domains 0..N-1 are the sources and domain N the target, labeled for
-    evaluation.  The triple is ordered by domain, so basic column slices cut
-    it; a boolean mask would hand out F-ordered blocks.
+    evaluation.  The triple is ordered by domain, so column slices cut it.
     """
     if spec.kind is not SyntheticKind.CONDITIONAL_CHAIN:
         raise ConfigError(f"spec kind is {spec.kind.value!r}, expected conditional chain")

@@ -18,14 +18,17 @@ The push-through identity turns each normalization into a small solve,
 
 The one n x n quantity left is P = (G_Xt + ne I)^{-1} V.  V's columns
 sum to zero, so P lies in 1-perp and needs no centered Gram: with
-B = (K_Xt + ne I)^{-1}, one Cholesky factor of the uncentered K_Xt + ne I
-solved against [V | 1] gives BV and B1, and the rank-one correction
+B = (K_Xt + ne I)^{-1} = L^{-T} L^{-1} and r = L^{-1} 1 / |L^{-1} 1|,
 
-    P = B (V + 1 a^T) = BV - (B1)(1^T BV) / (1^T B1)
+    F = (I - r r^T) L^{-1} V,  P = L^{-T} F = BV - (B1)(1^T BV) / (1^T B1).
 
-puts P in 1-perp.  The value and the chain to the features are then
+``regularized_factor`` gives L, factoring a copy of the exactly symmetric
+K_Xt in place as its Fortran-ordered transpose, and r; ``cond_values``
+gives F and the values for each (n, c - 1) slice of an (n, b, c - 1) stack
+of V's, for this objective and the permutation null alike.  The value and
+the chain to the features are
 
-    L         = Tr(Q (W - ne V^T P))
+    L         = Tr(Q W) - ne * sum(F Q * F)      (elementwise)
     dL/dK_Xt  = ne * P Q P^T
     dL/dK_X   = dL/dK_Xt * K_Y                  (elementwise)
     dL/dX     = (4 / s2) * X (E - diag(E 1)),  E = dL/dK_X * K_X,
@@ -166,6 +169,21 @@ def cond_cells(xre: np.ndarray, y: np.ndarray, z: np.ndarray, cfgs: CondKernelCo
     return kxt, cell, my, mzt
 
 
+def regularized_factor(kxt: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    low, _ = ridged_cho_factor(kxt.copy().T, ridge)
+    r = scipy.linalg.solve_triangular(low, np.ones(low.shape[0]), lower=True,
+                                      check_finite=False)
+    return low, r / np.linalg.norm(r)
+
+
+def cond_values(low: np.ndarray, r: np.ndarray, vs: np.ndarray, q: np.ndarray,
+                w: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    f = scipy.linalg.solve_triangular(low, vs.reshape(vs.shape[0], -1), lower=True,
+                                      check_finite=False).reshape(vs.shape)
+    f -= r[:, None, None] * np.einsum("n,nbi->bi", r, f)
+    return np.sum(q * w) - ridge * np.einsum("nbi,nbi->b", f @ q, f), f
+
+
 def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
                    epsilon: float) -> tuple[float, np.ndarray]:
     """Value and feature gradient of the conditional dependence objective.
@@ -192,22 +210,17 @@ def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
     kxt, cell, my, mzt = cond_cells(xre, y, z, cfgs)
     ridge = n * epsilon
     v, w, q, _ = cell_terms(cell, my, mzt, ridge)
-    # K_Xt is exactly symmetric, so a copy's transpose is a Fortran-ordered
-    # K_Xt that LAPACK factors in place; E reuses the buffer afterwards
-    work = kxt.copy()
-    factor = ridged_cho_factor(work.T, ridge)
-    sol = scipy.linalg.cho_solve(factor, np.hstack([v, np.ones((n, 1))]),
-                                 check_finite=False)
-    p, b1 = sol[:, :-1], sol[:, -1]
-    p -= np.outer(b1, p.sum(axis=0) / b1.sum())  # P = B (V + 1 a^T) lies in 1-perp
-    value = float(np.sum(q * (w - ridge * (v.T @ p))))
-
-    e = np.matmul(p @ (ridge * q), p.T, out=work)
+    low, r = regularized_factor(kxt, ridge)
+    values, f = cond_values(low, r, v[:, None], q, w, ridge)
+    p = scipy.linalg.solve_triangular(low, f[:, 0], trans="T", lower=True,
+                                      check_finite=False)
+    # E reuses the factor's buffer, a C-ordered copy of K_Xt
+    e = np.matmul(p @ (ridge * q), p.T, out=low.T)
     e *= kxt
     grad = (4.0 / cfgs.x.bandwidth_sq) * (xre @ e - xre * e.sum(axis=1)[None, :])
     if not np.all(np.isfinite(grad)):
         raise NumericalError("gradient assembly produced non-finite entries")
-    return value, grad
+    return float(values[0]), grad
 
 
 def finite_diff_check(objective, xre, analytic_grad, *, probes: int = 50,

@@ -63,7 +63,7 @@ def check_epsilon(epsilon: float):
 
 
 def as_block(m, name: str, n: int | None = None) -> np.ndarray:
-    """m as a finite (rows, columns) float block, a 1-d m as one row.
+    """m as a finite (rows, columns) float block in C order, a 1-d m as one row.
 
     The block needs at least one column, and exactly ``n`` when ``n`` is
     given; otherwise an InputError names it by ``name``.
@@ -77,20 +77,18 @@ def as_block(m, name: str, n: int | None = None) -> np.ndarray:
                          f"with {want}")
     if not np.all(np.isfinite(m)):
         raise InputError(f"{name} block contains non-finite values")
-    return m
+    return np.ascontiguousarray(m)
 
 
 def pairwise_sq_dists(x) -> np.ndarray:
     """All-pairs squared Euclidean distances of x's columns.
 
-    numpy evaluates ``x.T @ x`` with a symmetric rank-k update (one triangle
-    computed, then mirrored) when x has a unit stride, so the Gram term is
-    exactly symmetric, and so is (sq_i + sq_j) - 2 g_ij; a view strided in
-    both axes is copied first.  The diagonal is set to exactly zero.
+    numpy evaluates ``x.T @ x`` for the C-ordered x with a symmetric rank-k
+    update (one triangle computed, then mirrored), so (sq_i + sq_j) - 2 g_ij
+    is exactly symmetric and its bits do not depend on the caller's layout.
+    The diagonal is set to exactly zero.
     """
     x = as_block(x, "data")
-    if x.itemsize not in x.strides:
-        x = np.ascontiguousarray(x)
     sq = np.einsum("ij,ij->j", x, x)
     g = x.T @ x
     g *= 2.0

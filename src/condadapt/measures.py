@@ -16,17 +16,19 @@ replicate.  The plain statistic is the conditional one with a constant label
 block (R_Y = 0, so S = I); the per-class one runs the core per class.  It
 uses the cells of ``gradients.cell_terms``, S R_Zt S = V Q V^T: the distinct
 columns of the stacked (Y; Z) block (``gradients.cond_cells``) or, in
-``cond``, the one route from given Grams, the distinct rows of [K_Y | K_Zt].
-With B = (G_Xt + n*eps*I)^{-1} the value is Tr(Q (W - n*eps*V^T B V)).
+``cond``, the one route from given Grams, the distinct rows of [K_Y | K_Zt],
+and, as the objective does, one factor of the uncentered K_Xt + n*eps*I.
 
 A shuffle within the label classes only permutes the rows of V, so a
-replicate needs V_pi^T B V_pi alone.  A cost model in n, c and the replicate
-count picks one of two exact evaluators: a batched triangular solve with the
-Cholesky factor, O(n^2 (c-1)) per replicate, or the c x c block sums of
-H B H over the permuted cell pairs, one ``np.bincount``, O(n^2) per
-replicate once B is formed.  A shuffle that keeps every sample in its cell,
-or leaves K_Zt unchanged entry for entry (checked for replicates within
-rounding of the statistic), is an exact tie and gets the statistic's value.
+replicate needs only F_pi^T F_pi, with F as in ``gradients`` for the
+shuffled V.  A cost model in n, c and the replicate count picks one of two
+exact evaluators: the batched triangular solve of ``gradients.cond_values``,
+O(n^2 (c-1)) per replicate, or the c x c block sums over the permuted cell
+pairs of B - (B1)(B1)^T / (1^T B1), B = (K_Xt + n*eps*I)^{-1}, whose rows
+and columns sum to zero: one ``np.bincount``, O(n^2) per replicate once
+formed.  A shuffle that keeps every sample in its cell, or within rounding
+of the statistic leaves the feature columns or K_Zt unchanged entry for
+entry, is an exact tie and gets the statistic's value.
 """
 
 from __future__ import annotations
@@ -41,17 +43,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, DegenerateDataError, InputError, NumericalError
-from .gradients import CondKernelConfig, cell_terms, cond_cells
-from .kernels import (
-    GramMatrix,
-    KernelConfig,
-    as_block,
-    center,
-    check_epsilon,
-    gram,
-    is_constant_block,
-    ridged_cho_factor,
-)
+from .gradients import CondKernelConfig, cell_terms, cond_cells, cond_values, regularized_factor
+from .kernels import GramMatrix, KernelConfig, as_block, check_epsilon, gram, is_constant_block
 from .trainer import AdamConfig, AdamState, adam_step
 
 # Right-hand-side columns per block of replicates (at least one replicate),
@@ -59,10 +52,10 @@ from .trainer import AdamConfig, AdamState, adam_step
 _BLOCK_COLUMNS = 256
 # Evaluator choice.  Per evaluation (each moved replicate and the statistic)
 # the triangular solve costs about n (c - 1) (n + 2 (c - 1)) flops, the solve
-# and the product with Q.  Block sums cost about n^3 once (dpotri's 2n^3/3
-# and the centring) and n^2 bincount entries per evaluation, each as slow as
-# this many flops of the solve.  Fitted with one BLAS thread (OpenBLAS 0.3.31,
-# 2-vCPU Intel Xeon) over n = 100-1000, c = 2-n and 1-200 permutations: the
+# and the product with Q.  Block sums cost about n^3 once (dpotri's 2n^3/3)
+# and n^2 bincount entries per evaluation, each as slow as this many flops of
+# the solve.  Fitted with one BLAS thread (OpenBLAS 0.3.31, 2-vCPU Intel Xeon)
+# over n = 100-1000, c = 2-n and 1-200 permutations, with B centred then: the
 # chosen evaluator was never more than 1.21 times slower than the faster one.
 _BINCOUNT_FLOPS = 48
 # A replicate whose value lies this close to the statistic (relative to the
@@ -153,41 +146,38 @@ def _same_domain_gram(cell: np.ndarray, perm: np.ndarray, mzt: np.ndarray) -> bo
 
 
 def _null_core(kxt: np.ndarray, cell: np.ndarray, my: np.ndarray | None,
-               mzt: np.ndarray, epsilon: float,
-               perms: np.ndarray) -> tuple[float, np.ndarray]:
-    """Statistic and one replicate value per column of ``perms`` from K_Xt and
-    the cells with their Grams, as ``gradients.cond_cells`` returns them.
-    The statistic comes from the evaluator its replicates use."""
+               mzt: np.ndarray, epsilon: float, perms: np.ndarray,
+               x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Statistic and one replicate value per column of ``perms`` from K_Xt, the
+    cells with their Grams (as ``gradients.cond_cells`` returns them) and the
+    feature block or K_Xt ``x``, the statistic from its replicates' evaluator."""
     n, c = cell.shape[0], mzt.shape[0]
     ridge = n * epsilon
     v, w, q, keep = cell_terms(cell, my, mzt, ridge)
-    factor, _ = ridged_cho_factor(center(kxt), ridge)  # of H K_Xt H + ne I
+    low, r = regularized_factor(kxt, ridge)
     base = float(np.sum(q * w))
     # a shuffle that keeps every sample in its cell fixes K_Zt: a tie
     moved = np.flatnonzero(np.any(cell[perms] != cell[:, None], axis=0))
     evals = moved.shape[0] + 1
     if n ** 3 + evals * _BINCOUNT_FLOPS * n * n < evals * (c - 1) * (n + 2 * (c - 1)) * n:
-        # V_pi^T B V_pi = U_pi'^T (H B H) U_pi': block sums over cell pairs
-        inv, info = scipy.linalg.lapack.dpotri(factor, lower=1)
+        # block sums of B - (B1)(B1)^T / (1^T B1) over cell pairs
+        inv, info = scipy.linalg.lapack.dpotri(low, lower=1, overwrite_c=1)
         if info != 0:
             raise NumericalError(f"inverting the regularized Gram failed (info {info})")
-        hbh = np.tril(inv)
-        hbh += np.tril(inv, -1).T
-        hbh = center(hbh).ravel()
+        b = np.tril(inv)
+        b += np.tril(inv, -1).T
+        b1 = b.sum(axis=1)
+        b -= np.outer(b1, b1 / b1.sum())
         qc = np.zeros((c, c))
         qc[np.ix_(keep, keep)] = q
 
         def values_of(ps: np.ndarray) -> np.ndarray:
-            sums = [np.bincount(((cp * c)[:, None] + cp).ravel(), weights=hbh,
+            sums = [np.bincount(((cp * c)[:, None] + cp).ravel(), weights=b.ravel(),
                                 minlength=c * c) for cp in cell[ps.T]]
             return base - ridge * (np.array(sums) @ qc.ravel())
     else:
         def values_of(ps: np.ndarray) -> np.ndarray:
-            """Tr(Q (W - ne S^T S)), S = L^{-1} V_b, for each V_b = V[ps[:, b]]."""
-            vs = v[ps]
-            s = scipy.linalg.solve_triangular(factor, vs.reshape(n, -1), lower=True,
-                                              check_finite=False).reshape(vs.shape)
-            return base - ridge * np.einsum("nbi,nbi->b", s @ q, s)
+            return cond_values(low, r, v[ps], q, w, ridge)[0]
 
     stat = float(values_of(np.arange(n)[:, None])[0])
     values = np.full(perms.shape[1], stat)
@@ -195,10 +185,11 @@ def _null_core(kxt: np.ndarray, cell: np.ndarray, my: np.ndarray | None,
     for start in range(0, moved.shape[0], per_block):
         js = moved[start:start + per_block]
         values[js] = values_of(perms[:, js])
-    # within rounding of the statistic: a tie if K_Zt is unchanged
+    # within rounding of the statistic: a tie if K_Xt or K_Zt is unchanged
     tie_tol = _TIE_RTOL * max(abs(stat), abs(base)) + _TIE_ATOL
     for j in moved[np.abs(values[moved] - stat) <= tie_tol]:
-        if _same_domain_gram(cell, perms[:, j], mzt):
+        if (np.array_equal(x[:, perms[:, j]], x)
+                or _same_domain_gram(cell, perms[:, j], mzt)):
             values[j] = stat
     return stat, values
 
@@ -228,7 +219,8 @@ def cond(kxt: GramMatrix, kzt: GramMatrix, ky: GramMatrix, epsilon: float, *,
     first = np.unique(cell, return_index=True)[1]
     my = None if is_constant_block(ky.entries) else ky.entries[np.ix_(first, first)]
     stat, null = _null_core(kxt.entries, cell, my, kzt.entries[np.ix_(first, first)],
-                            epsilon, _shuffles(classes, ky.n, permutations, seed))
+                            epsilon, _shuffles(classes, ky.n, permutations, seed),
+                            kxt.entries)
     return DependenceReport(stat, StatKind.COND, ky.n, float(epsilon), _pvalue(stat, null))
 
 
@@ -244,7 +236,7 @@ def nocco_from_features(x, z, epsilon: float, *, permutations: int = 0,
     y = np.zeros((1, n))
     perms = _shuffles([np.arange(n)], n, permutations, seed)
     kxt, cell, my, mzt = cond_cells(x, y, z, CondKernelConfig.resolve(x, y, z))
-    stat, null = _null_core(kxt, cell, my, mzt, epsilon, perms)
+    stat, null = _null_core(kxt, cell, my, mzt, epsilon, perms, x)
     return DependenceReport(stat, StatKind.NOCCO, n, float(epsilon), _pvalue(stat, null))
 
 
@@ -265,7 +257,7 @@ def cond_from_features(x, y, z, epsilon: float, *, labels=None, permutations: in
     classes = _null_classes(labels, y.T, "label columns") if permutations > 0 else []
     perms = _shuffles(classes, n, permutations, seed)
     kxt, cell, my, mzt = cond_cells(x, y, z, CondKernelConfig.resolve(x, y, z))
-    stat, null = _null_core(kxt, cell, my, mzt, epsilon, perms)
+    stat, null = _null_core(kxt, cell, my, mzt, epsilon, perms, x)
     return DependenceReport(stat, StatKind.COND, n, float(epsilon), _pvalue(stat, null))
 
 
@@ -303,11 +295,9 @@ def per_class_nocco_from_features(x, z, labels, epsilon: float, *, permutations:
     # summed in class order, so a replicate that ties in every class ties exactly
     stat, null = 0.0, np.zeros(perms.shape[1])
     for idx in kept:
-        # np.take, unlike x[:, idx], keeps a C-ordered block, so a class of
-        # every sample gives the plain statistic bit for bit
-        kxt, cell, my, mzt = cond_cells(np.take(x, idx, axis=1), y[:, idx], z[:, idx], cfgs)
+        kxt, cell, my, mzt = cond_cells(x[:, idx], y[:, idx], z[:, idx], cfgs)
         s, values = _null_core(kxt, cell, my, mzt, epsilon,
-                               np.searchsorted(idx, perms[idx]))
+                               np.searchsorted(idx, perms[idx]), x[:, idx])
         stat += (idx.shape[0] / total) * s
         null += (idx.shape[0] / total) * values
     return DependenceReport(stat, StatKind.PER_CLASS_NOCCO, n, float(epsilon),

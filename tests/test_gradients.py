@@ -41,14 +41,13 @@ def test_value_agrees_with_measures_route():
     cfgs = CondKernelConfig.resolve(xre, y, z)
     via_gradients = cond_objective(xre, y, z, cfgs, 1e-3)[0]
     via_measures = cond_from_features(xre, y, z, 1e-3).statistic
-    assert via_gradients == pytest.approx(via_measures, rel=1e-12)
+    assert via_gradients == via_measures  # one factor and one evaluator
 
 
 def test_nocco_value_agrees_with_measures_route():
     xre, _, z = random_instance(1)
     value, _ = cond_objective(xre, np.ones((1, xre.shape[1])), z, None, 1e-3)
-    assert value == pytest.approx(nocco_from_features(xre, z, 1e-3).statistic,
-                                  rel=1e-12)
+    assert value == nocco_from_features(xre, z, 1e-3).statistic
 
 
 def test_constant_domain_block_is_stationary_zero():

@@ -170,12 +170,14 @@ def test_pairwise_sq_dists_matches_mirrored_triangle_bit_for_bit(seed, d, n, log
         "row-sliced": base[1:d + 1],
         "block": base[1:d + 1, 2:n + 2],
     }
+    # every layout is built from a C-ordered copy, so F gives the C bits
     for name, x in layouts.items():
         d2 = pairwise_sq_dists(x)
-        assert np.array_equal(d2, triu_mirror_sq_dists(x)), name
+        assert np.array_equal(d2, triu_mirror_sq_dists(np.ascontiguousarray(x))), name
         assert np.array_equal(d2, d2.T), name
         assert np.all(np.diag(d2) == 0.0), name
-    # a view strided along both axes is copied first, so it is symmetric too
+    assert np.array_equal(pairwise_sq_dists(layouts["F"]), pairwise_sq_dists(layouts["C"]))
+    # a view strided along both axes is copied too, so it is symmetric
     d2 = pairwise_sq_dists(base[:d, ::2])
     assert np.array_equal(d2, d2.T) and np.all(np.diag(d2) == 0.0)
     assert np.allclose(d2, triu_mirror_sq_dists(base[:d, ::2]), rtol=1e-12,

@@ -408,6 +408,26 @@ def test_cond_null_is_all_ties_when_the_shuffled_gram_is_unchanged():
             assert rep.permutation_pvalue == 1.0
 
 
+@pytest.mark.parametrize("evaluator", ["solve", "sums"])
+def test_null_is_all_ties_when_the_shuffle_fixes_the_features(evaluator):
+    # X a function of the label and a continuous Z: every within-class shuffle
+    # leaves the feature columns, so K_Xt, unchanged, and its replicate equals
+    # the statistic though the shuffled K_Zt differs
+    cost = 10 ** 9 if evaluator == "solve" else -10 ** 9
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 3, size=60)
+        x = rng.normal(size=(2, 3))[:, labels]
+        z = rng.normal(size=(1, 60))
+        with patch.object(measures, "_BINCOUNT_FLOPS", cost):
+            rep = cond_from_features(x, one_hot(labels, 3), z, 1e-2, labels=labels,
+                                     permutations=50, seed=seed)
+            assert rep.permutation_pvalue == 1.0
+            rep = per_class_nocco_from_features(x, z, labels, 1e-2, permutations=50,
+                                                seed=seed)
+            assert rep.permutation_pvalue == 1.0
+
+
 def test_cond_rejects_labels_coarser_than_the_label_gram():
     x = random_features(4, n=12)
     classes = np.arange(12) % 3
@@ -460,6 +480,24 @@ def test_per_class_single_class_equals_plain():
     labels = np.zeros(30, dtype=int)
     assert (per_class_nocco_from_features(x, z, labels, 1e-3).statistic
             == nocco_from_features(x, z, 1e-3).statistic)
+
+
+def test_a_fortran_ordered_block_gives_the_c_bits():
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(6, 50))
+    labels = rng.integers(0, 3, size=50)
+    y, z = one_hot(labels, 3), one_hot(rng.integers(0, 2, size=50), 2)
+    runs = {}
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        xl, yl, zl = layout(x), layout(y), layout(z)
+        reps = [cond_from_features(xl, yl, zl, 1e-3, labels=labels, permutations=20),
+                nocco_from_features(xl, zl, 1e-3, permutations=20),
+                per_class_nocco_from_features(xl, zl, labels, 1e-3, permutations=20)]
+        value, grad = cond_objective(xl, yl, zl, None, 1e-3)
+        runs[layout] = ([(r.statistic, r.permutation_pvalue) for r in reps],
+                        value, grad.tobytes())
+    assert not np.asfortranarray(x).flags.c_contiguous
+    assert runs[np.ascontiguousarray] == runs[np.asfortranarray]
 
 
 def test_per_class_ignores_proportion_shift():
