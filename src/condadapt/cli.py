@@ -103,24 +103,15 @@ def _add_train_flags(p: argparse.ArgumentParser):
     p.add_argument("--pseudo-labels", choices=["hard", "soft"], default="hard")
 
 
-def _synthetic_spec(args, seed: int) -> data_mod.SyntheticSpec:
-    kind, classes, shift_sds = _FAMILIES[args.synthetic]
-    return data_mod.SyntheticSpec(
-        kind=kind, classes=classes if args.classes is None else args.classes,
-        samples_per_class_per_domain=args.per_class,
-        shift=shift_sds * args.noise_sd if args.shift is None else args.shift,
-        noise_sd=args.noise_sd, num_sources=args.sources, seed=seed)
-
-
 def _dataset_from_args(args, seed: int) -> data_mod.AdaptationDataset:
     if args.input is not None:
         return data_mod.load_features(args.input)
-    spec = _synthetic_spec(args, seed)
-    if spec.kind is data_mod.SyntheticKind.SHIFTED_BLOBS:
-        return data_mod.make_shifted_blobs(spec)
-    if spec.kind is data_mod.SyntheticKind.ROTATED_MOONS:
-        return data_mod.make_rotated_moons(spec)
-    return data_mod.make_conditional_chain(spec)
+    kind, classes, shift_sds = _FAMILIES[args.synthetic]
+    return data_mod.generate(data_mod.SyntheticSpec(
+        kind=kind, classes=classes if args.classes is None else args.classes,
+        samples_per_class_per_domain=args.per_class,
+        shift=shift_sds * args.noise_sd if args.shift is None else args.shift,
+        noise_sd=args.noise_sd, num_sources=args.sources, seed=seed))
 
 
 def _cmd_measure(args, parser) -> dict:

@@ -9,7 +9,6 @@ training path consumes them.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -108,9 +107,9 @@ class SyntheticSpec:
     """Shared knobs for the synthetic families.
 
     ``shift`` is the target's mean offset for blobs and chains, a scalar s
-    read as (s, 0) or a 2-vector.  For the rotated moons it is the target's
-    rotation angle in radians and must be a finite scalar.  A shift the
-    family cannot read is a ConfigError when the generator runs.
+    read as (s, 0) or a 2-vector.  For the rotated moons (2 classes) it is
+    the target's rotation angle in radians, a scalar.  Every value must be
+    finite; a bad spec is a ConfigError naming the field when it is built.
     """
 
     kind: SyntheticKind
@@ -127,24 +126,29 @@ class SyntheticSpec:
             raise ConfigError("need at least 2 classes")
         if self.samples_per_class_per_domain < 2:
             raise ConfigError("need at least 2 samples per class per domain")
-        if not self.noise_sd > 0:
-            raise ConfigError("noise_sd must be positive")
         if self.num_sources < 1:
             raise ConfigError("need at least 1 source domain")
-        if not self.class_spacing > 0:
-            raise ConfigError("class_spacing must be positive")
-
-    def shift_vector(self) -> np.ndarray:
-        return _shift_vector(self.shift)
+        for name in ("noise_sd", "class_spacing"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+        if self.kind is SyntheticKind.ROTATED_MOONS:
+            if self.classes != 2:
+                raise ConfigError("rotated moons is a 2-class family")
+            if not np.isscalar(self.shift):
+                raise ConfigError(f"rotated moons read shift as an angle, a scalar; "
+                                  f"got {self.shift!r}")
+        _shift_vector(self.shift)
 
 
 def _shift_vector(shift) -> np.ndarray:
-    """A scalar offset s as (s, 0), or a 2-vector; ConfigError otherwise."""
+    """A finite scalar offset s as (s, 0), or a finite 2-vector; else ConfigError."""
     if np.isscalar(shift):
-        return np.array([float(shift), 0.0])
-    v = np.asarray(shift, dtype=float)
-    if v.shape != (2,):
-        raise ConfigError(f"shift vector must have 2 entries, got shape {v.shape}")
+        v = np.array([float(shift), 0.0])
+    else:
+        v = np.asarray(shift, dtype=float)
+    if v.shape != (2,) or not np.all(np.isfinite(v)):
+        raise ConfigError(f"shift must be a finite scalar or vector with 2 entries, got {shift!r}")
     return v
 
 
@@ -175,12 +179,10 @@ def make_shifted_blobs(spec: SyntheticSpec) -> AdaptationDataset:
     Per-class counts are exact.  Sources share the blob layout; the target
     draws from the same classes around mean + shift.
     """
-    if spec.kind is not SyntheticKind.SHIFTED_BLOBS:
-        raise ConfigError(f"spec kind is {spec.kind.value!r}, expected shifted blobs")
     rng = np.random.default_rng(spec.seed)
     means = _class_means(spec.classes, spec.noise_sd, spec.class_spacing)
     m = spec.samples_per_class_per_domain
-    shift = spec.shift_vector()
+    shift = _shift_vector(spec.shift)
 
     def domain(offset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cols, labels = [], []
@@ -198,13 +200,6 @@ def make_shifted_blobs(spec: SyntheticSpec) -> AdaptationDataset:
 
 def make_rotated_moons(spec: SyntheticSpec) -> AdaptationDataset:
     """Two interleaved half-moons; the target domain is rotated by the angle."""
-    if spec.kind is not SyntheticKind.ROTATED_MOONS:
-        raise ConfigError(f"spec kind is {spec.kind.value!r}, expected rotated moons")
-    if spec.classes != 2:
-        raise ConfigError("rotated moons is a 2-class family")
-    if not (isinstance(spec.shift, numbers.Real) and math.isfinite(spec.shift)):
-        raise ConfigError(f"rotated moons read shift as an angle, a finite scalar; "
-                          f"got {spec.shift!r}")
     rng = np.random.default_rng(spec.seed)
     m = spec.samples_per_class_per_domain
     pivot = np.array([0.5, 0.25])
@@ -246,8 +241,7 @@ def chain_triple(n: int, seed: int, *, classes: int = 3, domains: int = 2,
     means = _class_means(classes, noise_sd)
     shift_vec = _shift_vector(shift)
     # skewed priors: first domain favours low classes, last favours high ones
-    ratios = (0.6 ** np.linspace(1.0, -1.0, domains) if domains > 1
-              else np.ones(1))
+    ratios = 0.6 ** np.linspace(1.0, -1.0, domains)
     xs, ys, zs = [], [], []
     base, extra = divmod(n, domains)
     for d in range(domains):
@@ -272,8 +266,6 @@ def make_conditional_chain(spec: SyntheticSpec) -> AdaptationDataset:
     Domains 0..N-1 are the sources and domain N the target, labeled for
     evaluation.  The triple is ordered by domain, so column slices cut it.
     """
-    if spec.kind is not SyntheticKind.CONDITIONAL_CHAIN:
-        raise ConfigError(f"spec kind is {spec.kind.value!r}, expected conditional chain")
     domains = spec.num_sources + 1
     m = spec.classes * spec.samples_per_class_per_domain
     x, y, _ = chain_triple(domains * m, spec.seed, classes=spec.classes, domains=domains,
@@ -283,7 +275,17 @@ def make_conditional_chain(spec: SyntheticSpec) -> AdaptationDataset:
     return AdaptationDataset(sources=parts, target=xt, target_truth=yt)
 
 
-def save_features(dataset: AdaptationDataset, path, delimiter: str = ","):
+def generate(spec: SyntheticSpec) -> AdaptationDataset:
+    """The dataset of ``spec``'s family, from the generator this module names
+    at call time, so a wrapper installed on the module attribute runs."""
+    if spec.kind is SyntheticKind.SHIFTED_BLOBS:
+        return make_shifted_blobs(spec)
+    if spec.kind is SyntheticKind.ROTATED_MOONS:
+        return make_rotated_moons(spec)
+    return make_conditional_chain(spec)
+
+
+def save_features(dataset: AdaptationDataset, path):
     """Write ``f0..f{d-1},label,domain`` rows; floats use full-precision repr.
 
     Sources come first (domains 0..N-1), then the target (domain N).  Target
@@ -292,12 +294,12 @@ def save_features(dataset: AdaptationDataset, path, delimiter: str = ","):
     d = dataset.dim
     header = [f"f{i}" for i in range(d)] + ["label", "domain"]
     with open(path, "w") as fh:
-        fh.write(delimiter.join(header) + "\n")
+        fh.write(",".join(header) + "\n")
 
         def rows(x, labels, domain):
             for j in range(x.shape[1]):
                 vals = [repr(float(v)) for v in x[:, j]]
-                fh.write(delimiter.join(vals + [str(labels[j]), str(domain)]) + "\n")
+                fh.write(",".join(vals + [str(labels[j]), str(domain)]) + "\n")
 
         for i, (x, y) in enumerate(dataset.sources):
             rows(x, y.argmax(axis=0), i)
@@ -308,7 +310,7 @@ def save_features(dataset: AdaptationDataset, path, delimiter: str = ","):
         rows(dataset.target, t_labels, dataset.num_sources)
 
 
-def load_features(path, delimiter: str = ",") -> AdaptationDataset:
+def load_features(path) -> AdaptationDataset:
     """Read a feature file written by ``save_features`` (or by hand).
 
     The highest domain id is the target; all lower ids must be present as
@@ -319,7 +321,7 @@ def load_features(path, delimiter: str = ",") -> AdaptationDataset:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
         raise ParseError("empty feature file")
-    header = lines[0].split(delimiter)
+    header = lines[0].split(",")
     if header[-1] != "domain":
         raise ParseError("missing 'domain' column (must be last)")
     if len(header) < 3 or header[-2] != "label":
@@ -331,7 +333,7 @@ def load_features(path, delimiter: str = ",") -> AdaptationDataset:
 
     feats, labels, domains = [], [], []
     for row_no, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(delimiter)
+        parts = ln.split(",")
         if len(parts) != d + 2:
             raise ParseError(f"row {row_no}: expected {d + 2} fields, got {len(parts)}")
         try:

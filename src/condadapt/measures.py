@@ -13,11 +13,15 @@ n grows with eps_n -> 0, eps_n^3 * n -> infinity.
 
 One core, ``_null_core``, computes every statistic and permutation
 replicate.  The plain statistic is the conditional one with a constant label
-block (R_Y = 0, so S = I); the per-class one runs the core per class.  It
-uses the cells of ``gradients.cell_terms``, S R_Zt S = V Q V^T: the distinct
-columns of the stacked (Y; Z) block (``gradients.cond_cells``) or, in
-``cond``, the one route from given Grams, the distinct rows of [K_Y | K_Zt],
-and, as the objective does, one factor of the uncentered K_Xt + n*eps*I.
+block (R_Y = 0, so S = I).  One routine, ``_grouped_report``, draws the
+shuffles, fits bandwidths on the whole blocks and runs ``cond_cells`` and
+the core on each group of samples (all of them, or each kept class for the
+per-class statistic) with the shuffles in the group's own indices, summing
+the results weighted by group size.  The core uses the cells of
+``gradients.cell_terms``, S R_Zt S = V Q V^T: the distinct columns of the
+stacked (Y; Z) block (``gradients.cond_cells``) or, in ``cond``, the one
+route from given Grams, the distinct rows of [K_Y | K_Zt], and, as the
+objective does, one factor of the uncentered K_Xt + n*eps*I.
 
 A shuffle within the label classes only permutes the rows of V, so a
 replicate needs only F_pi^T F_pi, with F as in ``gradients`` for the
@@ -224,6 +228,28 @@ def cond(kxt: GramMatrix, kzt: GramMatrix, ky: GramMatrix, epsilon: float, *,
     return DependenceReport(stat, StatKind.COND, ky.n, float(epsilon), _pvalue(stat, null))
 
 
+def _grouped_report(kind: StatKind, x: np.ndarray, y: np.ndarray, z: np.ndarray,
+                    groups: list[np.ndarray], epsilon: float, permutations: int, seed: int,
+                    classes: list[np.ndarray] | None = None, skipped: int = 0) -> DependenceReport:
+    """Report summed over ``groups``, shuffled within ``classes`` or else the groups."""
+    n = x.shape[1]
+    perms = _shuffles(groups if classes is None else classes, n, permutations, seed)
+    cfgs = CondKernelConfig.resolve(x, y, z)
+    total = sum(idx.shape[0] for idx in groups)
+    pos = np.empty(n, dtype=np.intp)  # each sample's index within its group
+    # summed in group order, so a replicate that ties in every group ties exactly
+    stat, null = 0.0, np.zeros(permutations)
+    for idx in groups:
+        pos[idx] = np.arange(idx.shape[0])
+        xg, yg, zg, local = ((x, y, z, perms) if idx.shape[0] == n else  # all n: as they are
+                             (x[:, idx], y[:, idx], z[:, idx], pos[perms[idx]]))
+        kxt, cell, my, mzt = cond_cells(xg, yg, zg, cfgs)
+        s, values = _null_core(kxt, cell, my, mzt, epsilon, local, xg)
+        stat += (idx.shape[0] / total) * s
+        null += (idx.shape[0] / total) * values
+    return DependenceReport(stat, kind, n, float(epsilon), _pvalue(stat, null), skipped)
+
+
 def nocco_from_features(x, z, epsilon: float, *, permutations: int = 0,
                         seed: int = 0) -> DependenceReport:
     """Plain statistic Tr(R_Z R_X) from raw (d, n) feature and domain blocks:
@@ -233,11 +259,8 @@ def nocco_from_features(x, z, epsilon: float, *, permutations: int = 0,
     x = as_block(x, "feature")
     n = x.shape[1]
     z = as_block(z, "domain", n)
-    y = np.zeros((1, n))
-    perms = _shuffles([np.arange(n)], n, permutations, seed)
-    kxt, cell, my, mzt = cond_cells(x, y, z, CondKernelConfig.resolve(x, y, z))
-    stat, null = _null_core(kxt, cell, my, mzt, epsilon, perms, x)
-    return DependenceReport(stat, StatKind.NOCCO, n, float(epsilon), _pvalue(stat, null))
+    return _grouped_report(StatKind.NOCCO, x, np.zeros((1, n)), z, [np.arange(n)], epsilon,
+                           permutations, seed)
 
 
 def cond_from_features(x, y, z, epsilon: float, *, labels=None, permutations: int = 0,
@@ -255,10 +278,8 @@ def cond_from_features(x, y, z, epsilon: float, *, labels=None, permutations: in
     y = as_block(y, "label", n)
     z = as_block(z, "domain", n)
     classes = _null_classes(labels, y.T, "label columns") if permutations > 0 else []
-    perms = _shuffles(classes, n, permutations, seed)
-    kxt, cell, my, mzt = cond_cells(x, y, z, CondKernelConfig.resolve(x, y, z))
-    stat, null = _null_core(kxt, cell, my, mzt, epsilon, perms, x)
-    return DependenceReport(stat, StatKind.COND, n, float(epsilon), _pvalue(stat, null))
+    return _grouped_report(StatKind.COND, x, y, z, [np.arange(n)], epsilon, permutations,
+                           seed, classes)
 
 
 def per_class_nocco_from_features(x, z, labels, epsilon: float, *, permutations: int = 0,
@@ -277,9 +298,6 @@ def per_class_nocco_from_features(x, z, labels, epsilon: float, *, permutations:
     labels = np.asarray(labels).ravel()
     if labels.shape[0] != n:
         raise InputError(f"labels length {labels.shape[0]} != sample count {n}")
-    y = np.zeros((1, n))
-    cfgs = CondKernelConfig.resolve(x, y, z)
-
     classes = [np.flatnonzero(labels == c) for c in np.unique(labels)]
     kept = [idx for idx in classes
             if idx.shape[0] >= 2 and not is_constant_block(z[:, idx])]
@@ -289,19 +307,8 @@ def per_class_nocco_from_features(x, z, labels, epsilon: float, *, permutations:
                       "or a single domain", stacklevel=2)
     if not kept:
         raise DegenerateDataError("no class has at least 2 samples from at least 2 domains")
-
-    perms = _shuffles(kept, n, permutations, seed)
-    total = sum(idx.shape[0] for idx in kept)
-    # summed in class order, so a replicate that ties in every class ties exactly
-    stat, null = 0.0, np.zeros(perms.shape[1])
-    for idx in kept:
-        kxt, cell, my, mzt = cond_cells(x[:, idx], y[:, idx], z[:, idx], cfgs)
-        s, values = _null_core(kxt, cell, my, mzt, epsilon,
-                               np.searchsorted(idx, perms[idx]), x[:, idx])
-        stat += (idx.shape[0] / total) * s
-        null += (idx.shape[0] / total) * values
-    return DependenceReport(stat, StatKind.PER_CLASS_NOCCO, n, float(epsilon),
-                            _pvalue(stat, null), skipped)
+    return _grouped_report(StatKind.PER_CLASS_NOCCO, x, np.zeros((1, n)), z, kept, epsilon,
+                           permutations, seed, skipped=skipped)
 
 
 def _two_samples(xs, xt) -> tuple[np.ndarray, np.ndarray]:

@@ -3,11 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from condadapt import cli
+from condadapt import cli, data
 from condadapt.cli import main
 from condadapt.data import (AdaptationDataset, SyntheticKind, SyntheticSpec,
-                            make_conditional_chain, make_rotated_moons, make_shifted_blobs,
-                            save_features)
+                            make_shifted_blobs, save_features)
 from condadapt.model import forward_pass, load_params
 
 FAST_TRAIN = ["--synthetic", "shifted-blobs", "--classes", "2", "--per-class", "10",
@@ -43,10 +42,7 @@ def test_family_defaults_match_the_explicit_spec(family, kind, classes, shift):
                                           "--stat", "cond"])
     spec = SyntheticSpec(kind=kind, classes=classes, samples_per_class_per_domain=50,
                          shift=shift, noise_sd=0.5, num_sources=1, seed=0)
-    make = {SyntheticKind.SHIFTED_BLOBS: make_shifted_blobs,
-            SyntheticKind.ROTATED_MOONS: make_rotated_moons,
-            SyntheticKind.CONDITIONAL_CHAIN: make_conditional_chain}[kind]
-    got, want = cli._dataset_from_args(args, args.seed), make(spec)
+    got, want = cli._dataset_from_args(args, args.seed), data.generate(spec)
     np.testing.assert_array_equal(got.features, want.features)
     np.testing.assert_array_equal(np.hstack([got.source_labels, got.target_truth]),
                                   np.hstack([want.source_labels, want.target_truth]))
@@ -148,6 +144,17 @@ def test_exit_code_1_on_a_negative_permutation_count(stat, capsys):
     rc, report, err = run(capsys, ["measure", "--synthetic", "chain-dep", "--per-class",
                                    "10", "--stat", stat, "--permutations", "-1"])
     assert rc == 1 and report is None and "permutations" in err
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--synthetic", "shifted-blobs", "--shift", "nan"], "shift"),
+    (["--synthetic", "chain-dep", "--shift", "inf"], "shift"),
+    (["--synthetic", "chain-ci", "--noise-sd", "inf"], "noise_sd"),
+])
+def test_exit_code_1_names_a_non_finite_spec_value(flags, name, capsys):
+    rc, report, err = run(capsys, ["measure", *flags, "--stat", "mmd"])
+    assert rc == 1 and report is None
+    assert f"error: {name} must be" in err
 
 
 def test_exit_code_2_on_bad_arguments(capsys):

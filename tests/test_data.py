@@ -38,9 +38,34 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         blob_spec(num_sources=0)
     with pytest.raises(ConfigError):
-        blob_spec(shift=(1.0, 2.0, 3.0)).shift_vector()
-    with pytest.raises(ConfigError):
-        make_rotated_moons(blob_spec())
+        blob_spec(shift=(1.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("kind", list(SyntheticKind))
+@pytest.mark.parametrize("name, value", [
+    ("shift", float("nan")), ("shift", float("inf")), ("shift", (0.0, float("-inf"))),
+    ("noise_sd", float("inf")), ("noise_sd", float("nan")),
+    ("class_spacing", float("inf")), ("class_spacing", float("nan")),
+])
+def test_spec_rejects_a_non_finite_value_by_name(kind, name, value):
+    with pytest.raises(ConfigError, match=name):
+        SyntheticSpec(kind=kind, **{name: value})
+
+
+def test_generate_looks_up_the_generator_when_called(monkeypatch):
+    # a wrapper installed on the module attribute (as a tracer does) must run
+    calls = []
+
+    def wrapped(spec):
+        calls.append(spec)
+        return make_conditional_chain(spec)
+
+    monkeypatch.setattr(data, "make_conditional_chain", wrapped)
+    spec = SyntheticSpec(kind=SyntheticKind.CONDITIONAL_CHAIN, classes=3,
+                         samples_per_class_per_domain=5)
+    ds = data.generate(spec)
+    assert calls == [spec]
+    assert ds.n_target == 15
 
 
 def test_blobs_exact_counts_and_labels():
@@ -136,16 +161,14 @@ def test_chain_validation():
 def test_chain_rejects_a_shift_that_is_not_a_2_vector(shift):
     with pytest.raises(ConfigError, match="2 entries"):
         chain_triple(60, seed=0, shift=shift)
-    spec = SyntheticSpec(kind=SyntheticKind.CONDITIONAL_CHAIN, shift=shift)
     with pytest.raises(ConfigError, match="2 entries"):
-        make_conditional_chain(spec)
+        SyntheticSpec(kind=SyntheticKind.CONDITIONAL_CHAIN, shift=shift)
 
 
 @pytest.mark.parametrize("shift", [(0.5, 9.0, 3.0), [[1.0], [2.0]], float("nan")])
 def test_moons_reject_a_shift_that_is_not_a_finite_angle(shift):
-    spec = SyntheticSpec(kind=SyntheticKind.ROTATED_MOONS, classes=2, shift=shift)
     with pytest.raises(ConfigError, match="shift"):
-        make_rotated_moons(spec)
+        SyntheticSpec(kind=SyntheticKind.ROTATED_MOONS, classes=2, shift=shift)
 
 
 def test_dataset_type_lives_below_the_trainer():
