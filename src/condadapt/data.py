@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, InputError, ParseError
-from .kernels import as_block
+from .kernels import as_block, check_positive
 
 
 @dataclass
@@ -95,7 +95,6 @@ class AdaptationDataset:
         return np.repeat(np.eye(len(counts)), counts, axis=1)
 
 
-
 class SyntheticKind(Enum):
     SHIFTED_BLOBS = "shifted-blobs"
     ROTATED_MOONS = "rotated-moons"
@@ -129,9 +128,7 @@ class SyntheticSpec:
         if self.num_sources < 1:
             raise ConfigError("need at least 1 source domain")
         for name in ("noise_sd", "class_spacing"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+            check_positive(name, getattr(self, name))
         if self.kind is SyntheticKind.ROTATED_MOONS:
             if self.classes != 2:
                 raise ConfigError("rotated moons is a 2-class family")

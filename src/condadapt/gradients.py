@@ -51,7 +51,7 @@ from .errors import InputError, NumericalError
 from .kernels import (
     KernelConfig,
     as_block,
-    check_epsilon,
+    check_positive,
     is_constant_block,
     pairwise_sq_dists,
     ridged_cho_factor,
@@ -190,10 +190,10 @@ def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
 
     ``xre`` is the (d', n) transformed-feature matrix, ``y`` the (K, n) label
     block (hard or soft), ``z`` the (N+1, n) domain block.  A constant ``z``
-    makes the objective identically zero: with a single domain there is no
-    dependence to remove, so both value and gradient vanish.
+    gives 0.0 and a zero gradient by convention (one domain, nothing to
+    remove), where ``cond_from_features`` returns the estimator's value.
     """
-    check_epsilon(epsilon)
+    check_positive("epsilon", epsilon)
     if np.ndim(xre) != 2:  # the gradient takes the shape of xre
         raise InputError(f"feature block must be (d', n), got ndim={np.ndim(xre)}")
     xre = as_block(xre, "feature")

@@ -27,9 +27,7 @@ class KernelConfig:
     bandwidth_sq: float
 
     def __post_init__(self):
-        b = self.bandwidth_sq
-        if not (np.isfinite(b) and b > 0):
-            raise ConfigError(f"bandwidth_sq must be positive and finite, got {b!r}")
+        check_positive("bandwidth_sq", self.bandwidth_sq)
 
     @classmethod
     def from_data(cls, x: np.ndarray) -> "KernelConfig":
@@ -44,9 +42,7 @@ class GramMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.entries, dtype=float)
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise InputError(f"Gram matrix must be square, got shape {k.shape}")
+        k = _square(self.entries)
         if not np.array_equal(k, k.T):
             raise InputError("Gram matrix must be exactly symmetric")
         object.__setattr__(self, "entries", k)
@@ -56,10 +52,10 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-def check_epsilon(epsilon: float):
-    """ConfigError unless the regularization eps is positive and finite."""
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ConfigError(f"epsilon must be positive and finite, got {epsilon!r}")
+def check_positive(name: str, value: float):
+    """ConfigError naming ``name`` unless ``value`` is positive and finite."""
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
 def as_block(m, name: str, n: int | None = None) -> np.ndarray:
@@ -159,15 +155,21 @@ def product_gram(a: GramMatrix, b: GramMatrix) -> GramMatrix:
     return GramMatrix(a.entries * b.entries)
 
 
+def _square(k) -> np.ndarray:
+    """The entries of a GramMatrix or of a square array, as floats."""
+    m = k.entries if isinstance(k, GramMatrix) else np.asarray(k, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
 def center(k) -> np.ndarray:
     """Double-center a Gram matrix: H K H with H = I - 11^T/n.
 
     Accepts a GramMatrix or a plain square array; returns a symmetric array
     whose rows and columns sum to ~0.
     """
-    m = k.entries if isinstance(k, GramMatrix) else np.asarray(k, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {m.shape}")
+    m = _square(k)
     row = m.mean(axis=1, keepdims=True)
     col = m.mean(axis=0, keepdims=True)
     g = m - row - col + m.mean()
@@ -193,10 +195,8 @@ def normalize(g, epsilon: float) -> np.ndarray:
     Uses the identity R = I - n*eps*(G + n*eps*I)^{-1}; the inverse is applied
     through an SPD factorization, never formed from an unsymmetrized product.
     """
-    check_epsilon(epsilon)
-    g = g.entries if isinstance(g, GramMatrix) else np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {g.shape}")
+    check_positive("epsilon", epsilon)
+    g = _square(g)
     if not np.all(np.isfinite(g)):
         raise NumericalError("non-finite entries in matrix passed to normalize")
     n = g.shape[0]

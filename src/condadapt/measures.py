@@ -48,7 +48,7 @@ import scipy.linalg
 
 from .errors import ConfigError, DegenerateDataError, InputError, NumericalError
 from .gradients import CondKernelConfig, cell_terms, cond_cells, cond_values, regularized_factor
-from .kernels import GramMatrix, KernelConfig, as_block, check_epsilon, gram, is_constant_block
+from .kernels import GramMatrix, KernelConfig, as_block, check_positive, gram, is_constant_block
 from .trainer import AdamConfig, AdamState, adam_step
 
 # Right-hand-side columns per block of replicates (at least one replicate),
@@ -105,6 +105,15 @@ def _pvalue(stat: float, null: np.ndarray) -> float | None:
     return float((1 + np.count_nonzero(null >= stat)) / (1 + null.shape[0]))
 
 
+def _class_indices(labels, n: int, name: str) -> dict:
+    """Each class of the label vector ``labels`` (``np.unique`` order) -> its
+    samples' indices; an InputError names ``name`` unless it has ``n`` entries."""
+    labels = np.asarray(labels).ravel()
+    if labels.shape[0] != n:
+        raise InputError(f"{name} length {labels.shape[0]} != sample count {n}")
+    return {c: np.flatnonzero(labels == c) for c in np.unique(labels)}
+
+
 def _null_classes(labels, rows: np.ndarray, what: str) -> list[np.ndarray]:
     """Index array of each class of ``labels``, in ``np.unique`` order.
 
@@ -114,17 +123,12 @@ def _null_classes(labels, rows: np.ndarray, what: str) -> list[np.ndarray]:
     """
     if labels is None:
         raise InputError("permutation test for the conditional statistic needs class labels")
-    labels = np.asarray(labels).ravel()
-    if labels.shape[0] != rows.shape[0]:
-        raise InputError(f"labels length {labels.shape[0]} != sample count {rows.shape[0]}")
-    classes = []
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
+    classes = _class_indices(labels, rows.shape[0], "labels")
+    for c, idx in classes.items():
         if not np.all(rows[idx] == rows[idx[0]]):
             raise InputError(f"labels class {c!r} holds samples with different {what}, "
                              "so shuffles within it do not fix K_Y")
-        classes.append(idx)
-    return classes
+    return list(classes.values())
 
 
 def _shuffles(classes: list[np.ndarray], n: int, permutations: int, seed: int) -> np.ndarray:
@@ -209,7 +213,7 @@ def cond(kxt: GramMatrix, kzt: GramMatrix, ky: GramMatrix, epsilon: float, *,
     share a K_Y row with; such shuffles fix Y, so the extended Gram permutes
     as a whole.
     """
-    check_epsilon(epsilon)
+    check_positive("epsilon", epsilon)
     if not (kxt.n == kzt.n == ky.n):
         raise InputError(f"sample-count mismatch {kxt.n}, {kzt.n}, {ky.n}")
     for name, k in (("K_Xt", kxt), ("K_Zt", kzt), ("K_Y", ky)):
@@ -255,7 +259,7 @@ def nocco_from_features(x, z, epsilon: float, *, permutations: int = 0,
     """Plain statistic Tr(R_Z R_X) from raw (d, n) feature and domain blocks:
     the conditional one with a constant label block.  Its null has one class,
     so replicate i shuffles by ``default_rng(seed + i).permutation(n)``."""
-    check_epsilon(epsilon)
+    check_positive("epsilon", epsilon)
     x = as_block(x, "feature")
     n = x.shape[1]
     z = as_block(z, "domain", n)
@@ -270,9 +274,10 @@ def cond_from_features(x, y, z, epsilon: float, *, labels=None, permutations: in
     Bandwidths are fitted as ``label_gram`` fits them; the only n x n Gram
     built is K_Xt, since the label and domain kernels are taken over the
     cells of the stacked (Y; Z) block.  Every sample of a class of
-    ``labels`` must have the same label column.
+    ``labels`` must have the same label column.  A constant domain block
+    gives the estimator's value, where ``cond_objective`` returns 0.0.
     """
-    check_epsilon(epsilon)
+    check_positive("epsilon", epsilon)
     x = as_block(x, "feature")
     n = x.shape[1]
     y = as_block(y, "label", n)
@@ -291,14 +296,11 @@ def per_class_nocco_from_features(x, z, labels, epsilon: float, *, permutations:
     Replicate i shuffles within every kept class, drawing from
     ``default_rng(seed + i)`` in ``np.unique`` order.
     """
-    check_epsilon(epsilon)
+    check_positive("epsilon", epsilon)
     x = as_block(x, "feature")
     n = x.shape[1]
     z = as_block(z, "domain", n)
-    labels = np.asarray(labels).ravel()
-    if labels.shape[0] != n:
-        raise InputError(f"labels length {labels.shape[0]} != sample count {n}")
-    classes = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+    classes = _class_indices(labels, n, "labels").values()
     kept = [idx for idx in classes
             if idx.shape[0] >= 2 and not is_constant_block(z[:, idx])]
     skipped = len(classes) - len(kept)
@@ -393,13 +395,11 @@ def a_distance(xs, xt, split_seed: int = 0, *,
     per_class = None
     skipped = None
     if labels_s is not None and labels_t is not None:
-        labels_s = np.asarray(labels_s).ravel()
-        labels_t = np.asarray(labels_t).ravel()
-        if labels_s.shape[0] != xs.shape[1] or labels_t.shape[0] != xt.shape[1]:
-            raise InputError("label lengths do not match sample counts")
+        classes_s = _class_indices(labels_s, xs.shape[1], "labels_s")
+        classes_t = _class_indices(labels_t, xt.shape[1], "labels_t")
         per_class, skipped = [], []
-        for c in np.unique(np.concatenate([labels_s, labels_t])):
-            is_, it_ = labels_s == c, labels_t == c
+        for c in sorted(classes_s.keys() | classes_t.keys()):
+            is_, it_ = classes_s.get(c, []), classes_t.get(c, [])
             try:
                 e_c = _discriminator_error(xs[:, is_], xt[:, it_], split_seed)
             except InputError:

@@ -8,9 +8,9 @@ config seed; the only randomness is the parameter initialization.
 
 An adaptation step runs one forward pass, after its update: its target columns
 set the pseudo-labels and answer the next ``target_accuracy``, and the next step
-on the same ``AdamState`` reuses it.  The reuse is keyed on the arrays, so
-``adapt_epoch`` and ``fit`` return read-only parameters (``copy()`` to edit),
-and a dataset's arrays are replaced, never edited in place.
+on the same ``AdamState`` reuses it.  The step makes every array that forward
+read read-only: the parameters it returns (``copy()`` to edit) and the dataset's
+feature blocks.  So an in-place edit raises, and a replaced array is not reused.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 
 from .data import AdaptationDataset, one_hot
 from .errors import ConfigError, InputError, NumericalError
-from .gradients import CondKernelConfig, cond_objective
+from .gradients import cond_objective
+from .kernels import check_positive
 from .model import (
     LossBreakdown,
     ModelParams,
@@ -51,8 +52,7 @@ class AdamConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and 0.0 <= value < 1.0):
                 raise ConfigError(f"AdamConfig.{name} must lie in [0, 1), got {value!r}")
-        if not (np.isfinite(self.eps) and self.eps > 0):
-            raise ConfigError(f"AdamConfig.eps must be positive and finite, got {self.eps!r}")
+        check_positive("AdamConfig.eps", self.eps)
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,7 @@ class TrainConfig:
             if not (np.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be non-negative and finite, got {value!r}")
         for name in ("epsilon", "learning_rate"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+            check_positive(name, getattr(self, name))
         if self.pretrain_epochs < 0 or self.adapt_epochs < 0:
             raise ConfigError("epoch counts must be non-negative")
         if min(self.hidden_units, self.rep_dim) < 1:
@@ -135,10 +133,11 @@ def _forward_inputs(params: ModelParams, dataset: AdaptationDataset) -> tuple:
 
 
 def _reusable(record: tuple | None, params: ModelParams, dataset: AdaptationDataset) -> bool:
-    """Whether ``record[0]`` holds these very arrays, the parameters still read-only
-    (it keeps its arrays alive, so equal ids mean the same arrays)."""
-    return (record is not None and not any(a.flags.writeable for a in params.arrays())
-            and list(map(id, record[0])) == list(map(id, _forward_inputs(params, dataset))))
+    """Whether ``record[0]`` holds these very arrays, all still read-only (it
+    keeps its arrays alive, so equal ids mean the same arrays)."""
+    inputs = _forward_inputs(params, dataset)
+    return (record is not None and not any(a.flags.writeable for a in inputs)
+            and list(map(id, record[0])) == list(map(id, inputs)))
 
 
 def target_accuracy(params: ModelParams, dataset: AdaptationDataset) -> float | None:
@@ -202,8 +201,9 @@ def adapt_epoch(dataset: AdaptationDataset, config: TrainConfig,
     """One full-batch step on the total objective, then a pseudo-label refresh.
 
     Returns new, read-only parameters and the loss terms that produced the
-    step's gradient, i.e. before the update.  Terms with zero weight are skipped
-    and recorded as 0.  A non-finite term aborts with the offending loss named.
+    step's gradient, i.e. before the update; the dataset's feature blocks are
+    read-only afterwards too.  Terms with zero weight are skipped and recorded
+    as 0.  A non-finite term aborts with the offending loss named.
     """
     if dataset.pseudo_labels is None:
         raise InputError("initialize pseudo-labels before adaptation")
@@ -237,8 +237,7 @@ def adapt_epoch(dataset: AdaptationDataset, config: TrainConfig,
     if config.beta1 != 0.0:
         y_all = np.hstack([ys, dataset.pseudo_labels])
         z = dataset.domain_matrix
-        cfgs = CondKernelConfig.resolve(st.xre, y_all, z)  # stop-gradient bandwidths
-        cond_term, cond_grad = cond_objective(st.xre, y_all, z, cfgs, config.epsilon)
+        cond_term, cond_grad = cond_objective(st.xre, y_all, z, None, config.epsilon)
         if not np.isfinite(cond_term) or not np.all(np.isfinite(cond_grad)):
             raise NumericalError("conditional dependence term produced a non-finite "
                                  "value or gradient")
@@ -248,11 +247,11 @@ def adapt_epoch(dataset: AdaptationDataset, config: TrainConfig,
     adam_step(params, grads, opt_state, config.learning_rate, config.adam)
     # the optimizer counts steps; in ``fit`` step t is adaptation epoch t - 1
     _check_update(params, f"adaptation epoch {opt_state.t - 1}")
-    for a in params.arrays():
+    inputs = _forward_inputs(params, dataset)
+    for a in inputs:  # what the carried forward reads
         a.setflags(write=False)
     # the old state lives until this one exists, so its pages are not re-faulted
     st = forward_pass(params, dataset.features)
-    inputs = _forward_inputs(params, dataset)
     opt_state.carried = (inputs, st)
     probs_t = st.probs[:, ns:]
     dataset.pseudo_labels = _pseudo_labels(probs_t, config.pseudo_label_mode)

@@ -12,8 +12,8 @@ from condadapt.gradients import (
     cond_objective,
     finite_diff_check,
 )
-from condadapt.kernels import KernelConfig, pairwise_sq_dists
-from condadapt.measures import cond_from_features, nocco_from_features
+from condadapt.kernels import KernelConfig, gram, label_gram, pairwise_sq_dists, product_gram
+from condadapt.measures import cond, cond_from_features, nocco_from_features
 
 
 def one_hot(labels, k):
@@ -56,6 +56,27 @@ def test_constant_domain_block_is_stationary_zero():
     value, grad = cond_objective(xre, y, z, None, 1e-3)
     assert value == 0.0
     np.testing.assert_array_equal(grad, np.zeros_like(xre))
+
+
+def test_constant_domain_block_gives_the_statistic_the_estimator_value():
+    # cond_objective's 0 for one domain is a convention; the statistic reports
+    # the estimator, Tr(R_Y S R_Xt S) > 0 at a finite eps, on both routes
+    x, y, _ = chain_triple(60, 1)
+    z = np.ones((1, 60))
+    labels = y.argmax(axis=0)
+    value, grad = cond_objective(x, y, z, None, 1e-2)
+    assert value == 0.0 and not np.any(grad)
+    rep = cond_from_features(x, y, z, 1e-2, labels=labels, permutations=20, seed=0)
+    assert rep.statistic == pytest.approx(0.0025895234182600024, rel=1e-12, abs=0.0)
+    oracle, _ = dense_cond_objective(x, y, z, CondKernelConfig.resolve(x, y, z), 1e-2)
+    assert rep.statistic == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    ky = label_gram(y)
+    via_grams = cond(product_gram(gram(x, KernelConfig.from_data(x)), ky),
+                     product_gram(label_gram(z), ky), ky, 1e-2, labels=labels,
+                     permutations=20)
+    assert via_grams.statistic == pytest.approx(rep.statistic, rel=1e-12, abs=0.0)
+    # a shuffle within the classes keeps every sample in its cell: all ties
+    assert rep.permutation_pvalue == via_grams.permutation_pvalue == 1.0
 
 
 def test_epsilon_validation():

@@ -737,6 +737,19 @@ def test_a_distance_per_class_and_skips():
     assert rep.skipped_classes == [1]
 
 
+def test_a_distance_names_the_label_vector_of_the_wrong_length():
+    rng = np.random.default_rng(5)
+    xs, xt = rng.normal(size=(2, 20)), rng.normal(size=(2, 24)) + 1.0
+    ys, yt = np.arange(20) % 2, np.arange(24) % 3  # class 2 is in the target only
+    with pytest.raises(InputError, match="labels_t length 23 != sample count 24"):
+        a_distance(xs, xt, labels_s=ys, labels_t=yt[:-1])
+    with pytest.raises(InputError, match="labels_s length 21 != sample count 20"):
+        a_distance(xs, xt, labels_s=np.arange(21) % 2, labels_t=yt)
+    rep = a_distance(xs, xt, labels_s=ys, labels_t=yt)
+    assert [c for c, _ in rep.per_class] == [0, 1]
+    assert rep.skipped_classes == [2]
+
+
 def test_a_distance_needs_four_per_domain():
     rng = np.random.default_rng(4)
     with pytest.raises(InputError):

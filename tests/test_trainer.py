@@ -507,6 +507,29 @@ def test_changed_inputs_force_a_fresh_forward(monkeypatch, change):
     assert target_accuracy(got, ds) == plain_accuracy(got, ds)
 
 
+def test_an_in_place_edit_of_an_array_the_forward_read_raises():
+    # the carried forward read these arrays; an edit would leave it stale
+    rng = np.random.default_rng(9)
+    blocks = [(rng.normal(size=(2, 20)), one_hot(np.arange(20) % 2, 2)) for _ in range(2)]
+    target = rng.normal(size=(2, 24)) + 0.5
+    ds = AdaptationDataset(sources=blocks, target=target,
+                           target_truth=one_hot(np.arange(24) % 2, 2))
+    cfg = quick_config(beta1=0.05, beta2=0.01)
+    params, _ = pretrain(ds, cfg, init_params_for(ds, cfg))
+    init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
+    params, _ = adapt_epoch(ds, cfg, params)
+    assert ds.target is target  # passed without a copy, read-only from here on
+    with pytest.raises(ValueError, match="read-only"):
+        ds.target += 0.3
+    for x, _ in ds.sources:
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] -= 0.3
+    for a in params.arrays():
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    assert target_accuracy(params, ds) == plain_accuracy(params, ds)
+
+
 def test_a_dataset_over_the_same_arrays_reuses_the_forward(monkeypatch):
     # the carried forward is keyed on the arrays it read, not on the dataset object
     ds, cfg, params, state = steady_state()
