@@ -18,6 +18,13 @@ from .errors import ConfigError, InputError, ParseError
 from .kernels import as_block, check_positive
 
 
+def _owned_block(m, name: str, n: int | None = None) -> np.ndarray:
+    """``as_block(m, name, n)``, copied if it is a view of another array, so
+    that no edit through that array gets past a read-only flag set here."""
+    m = as_block(m, name, n)
+    return m if m.base is None else m.copy()
+
+
 @dataclass
 class AdaptationDataset:
     """Sources with labels, unlabeled target, and mutable pseudo-labels.
@@ -37,18 +44,19 @@ class AdaptationDataset:
     def __post_init__(self):
         if not self.sources:
             raise InputError("need at least one source domain")
-        self.target = as_block(self.target, "target")
+        self.target = _owned_block(self.target, "target")
         sources = []
         for i, (x, y) in enumerate(self.sources):
-            x = as_block(x, f"source {i}")
-            sources.append((x, as_block(y, f"source {i} labels", x.shape[1])))
+            x = _owned_block(x, f"source {i}")
+            sources.append((x, _owned_block(y, f"source {i} labels", x.shape[1])))
             if x.shape[0] != self.dim:
                 raise InputError(f"source {i} has {x.shape[0]} feature rows, "
                                  f"target has {self.dim}")
         self.sources = sources
         labels = [(f"source {i} labels", y) for i, (_, y) in enumerate(sources)]
         if self.target_truth is not None:
-            self.target_truth = as_block(self.target_truth, "target_truth", self.n_target)
+            self.target_truth = _owned_block(self.target_truth, "target_truth",
+                                             self.n_target)
             labels.append(("target_truth", self.target_truth))
         for name, y in labels:
             if y.shape[0] != self.classes:

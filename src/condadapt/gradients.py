@@ -181,7 +181,10 @@ def cond_values(low: np.ndarray, r: np.ndarray, vs: np.ndarray, q: np.ndarray,
     f = scipy.linalg.solve_triangular(low, vs.reshape(vs.shape[0], -1), lower=True,
                                       check_finite=False).reshape(vs.shape)
     f -= r[:, None, None] * np.einsum("n,nbi->bi", r, f)
-    return np.sum(q * w) - ridge * np.einsum("nbi,nbi->b", f @ q, f), f
+    # one product per slice over its n rows, on f's own strides: f @ q on the
+    # (n, b, c - 1) stack would run n small ones, a 2-D reshape would copy f
+    fq = np.matmul(f.transpose(1, 0, 2), q)
+    return np.sum(q * w) - ridge * np.einsum("bni,nbi->b", fq, f), f
 
 
 def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,

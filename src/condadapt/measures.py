@@ -387,14 +387,18 @@ def a_distance(xs, xt, split_seed: int = 0, *,
 
     With ``labels_s`` and ``labels_t`` a per-class list of (class, d_A_c) is
     attached; classes with fewer than 4 samples in either domain are skipped
-    and recorded in ``skipped_classes``.
+    and recorded in ``skipped_classes``.  Giving only one of the two is an
+    InputError naming the missing one.
     """
     xs, xt = _two_samples(xs, xt)
+    if (labels_s is None) != (labels_t is None):
+        missing = "labels_t" if labels_t is None else "labels_s"
+        raise InputError(f"per-class d_A needs both label vectors; {missing} is missing")
     err = _discriminator_error(xs, xt, split_seed)
 
     per_class = None
     skipped = None
-    if labels_s is not None and labels_t is not None:
+    if labels_s is not None:
         classes_s = _class_indices(labels_s, xs.shape[1], "labels_s")
         classes_t = _class_indices(labels_t, xt.shape[1], "labels_t")
         per_class, skipped = [], []

@@ -84,7 +84,12 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    """Per-epoch records across both phases (pretrain first, then adaptation)."""
+    """Per-epoch records of a fit.
+
+    ``losses`` holds one record per epoch of both phases, pretraining first;
+    ``target_accuracy`` one per adaptation epoch only, the value the step's
+    carried forward already gives.  Pretraining evaluates nothing on the target.
+    """
 
     losses: list[LossBreakdown] = field(default_factory=list)
     target_accuracy: list[float | None] = field(default_factory=list)
@@ -161,8 +166,9 @@ def pretrain(dataset: AdaptationDataset, config: TrainConfig,
              params: ModelParams) -> tuple[ModelParams, TrainTrace]:
     """Full-batch cross-entropy training on the concatenated sources.
 
-    Returns updated parameters (the input object is not mutated) and a trace;
-    with 0 epochs the returned parameters equal the input bit for bit.
+    Each epoch runs one forward pass, over the sources only.  Returns updated
+    parameters (the input object is not mutated) and a trace of the per-epoch
+    losses; with 0 epochs the returned parameters equal the input bit for bit.
     """
     params = params.copy()
     trace = TrainTrace()
@@ -177,7 +183,6 @@ def pretrain(dataset: AdaptationDataset, config: TrainConfig,
         adam_step(params, grads, state, config.learning_rate, config.adam)
         _check_update(params, f"pretrain epoch {epoch}")
         trace.losses.append(LossBreakdown(ce, 0.0, 0.0, config.beta1, config.beta2))
-        trace.target_accuracy.append(target_accuracy(params, dataset))
     return params, trace
 
 
@@ -268,7 +273,7 @@ def fit(dataset: AdaptationDataset, config: TrainConfig,
         pretrained = pretrain(dataset, config, init_params_for(dataset, config))
     params, pre_trace = pretrained
     trace = TrainTrace([replace(b, beta1=config.beta1, beta2=config.beta2)
-                        for b in pre_trace.losses], list(pre_trace.target_accuracy))
+                        for b in pre_trace.losses])
     init_pseudo_labels(dataset, params, config.pseudo_label_mode)
     opt_state = AdamState.for_params(params)
     for _ in range(config.adapt_epochs):

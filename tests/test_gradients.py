@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -8,9 +9,12 @@ from condadapt.errors import ConfigError, InputError
 from condadapt.gradients import (
     CondKernelConfig,
     GradCheckReport,
+    cell_terms,
     cond_cells,
     cond_objective,
+    cond_values,
     finite_diff_check,
+    regularized_factor,
 )
 from condadapt.kernels import KernelConfig, gram, label_gram, pairwise_sq_dists, product_gram
 from condadapt.measures import cond, cond_from_features, nocco_from_features
@@ -250,6 +254,36 @@ def test_cond_cells_builds_the_plain_extended_gram(labels):
                 * my_cells[np.ix_(cell, cell)])
     assert (my is None) == (labels == "constant")
     assert kxt.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("labels", ["hard", "soft"])
+@pytest.mark.parametrize("stack", [1, 4])
+def test_cond_values_matches_a_loop_over_the_slices(labels, stack):
+    # cond_values solves the whole stack at once and forms F Q with one product
+    # per slice; the loop solves and multiplies each slice on its own, so the
+    # values may differ by rounding: 1e-12 relative
+    rng = np.random.default_rng(13)
+    n = 60
+    xre = rng.normal(size=(5, n))
+    if labels == "hard":
+        y = one_hot(rng.integers(0, 3, size=n), 3)
+    else:
+        logits = rng.normal(size=(3, n))
+        y = np.exp(logits) / np.exp(logits).sum(axis=0)
+    z = one_hot(rng.integers(0, 2, size=n), 2)
+    kxt, cell, my, mzt = cond_cells(xre, y, z, CondKernelConfig.resolve(xre, y, z))
+    ridge = n * 1e-3
+    v, w, q, _ = cell_terms(cell, my, mzt, ridge)
+    low, r = regularized_factor(kxt, ridge)
+    shuffles = np.column_stack([np.arange(n)] + [rng.permutation(n) for _ in range(stack - 1)])
+    values, _ = cond_values(low, r, v[shuffles], q, w, ridge)
+    expected = []
+    for order in shuffles.T:
+        f = scipy.linalg.solve_triangular(low, v[order], lower=True)
+        f -= np.outer(r, r @ f)
+        expected.append(np.sum(q * w) - ridge * np.sum((f @ q) * f))
+    assert q.shape[0] == (5 if labels == "hard" else n - 1)  # c - 1 cells
+    np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("shift, statistic, pvalue", [

@@ -750,6 +750,15 @@ def test_a_distance_names_the_label_vector_of_the_wrong_length():
     assert rep.skipped_classes == [2]
 
 
+@pytest.mark.parametrize("given", ["labels_s", "labels_t"])
+def test_a_distance_names_the_missing_label_vector(given):
+    rng = np.random.default_rng(5)
+    xs, xt = rng.normal(size=(2, 20)), rng.normal(size=(2, 20)) + 1.0
+    missing = "labels_t" if given == "labels_s" else "labels_s"
+    with pytest.raises(InputError, match=f"{missing} is missing"):
+        a_distance(xs, xt, **{given: np.arange(20) % 2})
+
+
 def test_a_distance_needs_four_per_domain():
     rng = np.random.default_rng(4)
     with pytest.raises(InputError):

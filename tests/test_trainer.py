@@ -172,6 +172,25 @@ def test_pretrain_deterministic():
     assert params_equal(a, b)
 
 
+def test_pretrain_runs_one_forward_per_epoch_over_the_sources(monkeypatch):
+    ds = blob_dataset(seed=5)
+    cfg = quick_config(pretrain_epochs=7)
+    params = init_params_for(ds, cfg)
+    calls = count_forwards(monkeypatch)
+    pretrain(ds, cfg, params)
+    assert calls == [ds.n_source] * cfg.pretrain_epochs
+
+
+def test_pretraining_reads_no_target_truth():
+    ds = blob_dataset(seed=5)
+    blind = AdaptationDataset(sources=ds.sources, target=ds.target)
+    cfg = quick_config(pretrain_epochs=7)
+    a, trace_a = pretrain(ds, cfg, init_params_for(ds, cfg))
+    b, trace_b = pretrain(blind, cfg, init_params_for(blind, cfg))
+    assert params_equal(a, b)
+    assert trace_a == trace_b and trace_a.target_accuracy == []
+
+
 def test_pretrain_aborts_on_nonfinite_loss():
     ds = separable_dataset()
     cfg = quick_config(pretrain_epochs=5)
@@ -320,6 +339,7 @@ def test_fit_deterministic_and_traced():
     assert t1.losses == t2.losses
     assert t1.target_accuracy == t2.target_accuracy
     assert len(t1.losses) == cfg.pretrain_epochs + cfg.adapt_epochs
+    assert len(t1.target_accuracy) == cfg.adapt_epochs  # adaptation epochs only
 
 
 def test_fit_zero_adapt_epochs_returns_pretrained():
@@ -528,6 +548,24 @@ def test_an_in_place_edit_of_an_array_the_forward_read_raises():
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
     assert target_accuracy(params, ds) == plain_accuracy(params, ds)
+
+
+def test_a_view_block_is_copied_so_an_edit_of_its_base_cannot_go_stale():
+    # an edit through the base array would get past the view's read-only flag
+    rng = np.random.default_rng(9)
+    big_s, big_t = rng.normal(size=(4, 20)), rng.normal(size=(4, 24)) + 0.5
+    ds = AdaptationDataset(sources=[(big_s[:2], one_hot(np.arange(20) % 2, 2))],
+                           target=big_t[:2], target_truth=one_hot(np.arange(24) % 2, 2))
+    assert not np.shares_memory(ds.target, big_t)
+    assert not np.shares_memory(ds.sources[0][0], big_s)
+    cfg = quick_config(beta1=0.05, beta2=0.01)
+    params, _ = pretrain(ds, cfg, init_params_for(ds, cfg))
+    init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
+    params, _ = adapt_epoch(ds, cfg, params)
+    before = target_accuracy(params, ds)
+    big_t[:2] += 3.0
+    big_s[:2] -= 3.0
+    assert target_accuracy(params, ds) == plain_accuracy(params, ds) == before
 
 
 def test_a_dataset_over_the_same_arrays_reuses_the_forward(monkeypatch):
