@@ -31,9 +31,7 @@ from .measures import (
 )
 from .gradients import (
     CondKernelConfig,
-    GradCheckReport,
     cond_objective,
-    finite_diff_check,
 )
 from .model import (
     LossBreakdown,

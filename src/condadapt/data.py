@@ -18,13 +18,6 @@ from .errors import ConfigError, InputError, ParseError
 from .kernels import as_block, check_positive
 
 
-def _owned_block(m, name: str, n: int | None = None) -> np.ndarray:
-    """``as_block(m, name, n)``, copied if it is a view of another array, so
-    that no edit through that array gets past a read-only flag set here."""
-    m = as_block(m, name, n)
-    return m if m.base is None else m.copy()
-
-
 @dataclass
 class AdaptationDataset:
     """Sources with labels, unlabeled target, and mutable pseudo-labels.
@@ -38,25 +31,25 @@ class AdaptationDataset:
     target: np.ndarray
     pseudo_labels: np.ndarray | None = None
     target_truth: np.ndarray | None = None
-    # (forward inputs, target argmax) of the last adaptation step
+    # (parameter arrays, features, target argmax) of the last adaptation step
     _last_step: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.sources:
             raise InputError("need at least one source domain")
-        self.target = _owned_block(self.target, "target")
+        self.target = as_block(self.target, "target")
         sources = []
         for i, (x, y) in enumerate(self.sources):
-            x = _owned_block(x, f"source {i}")
-            sources.append((x, _owned_block(y, f"source {i} labels", x.shape[1])))
+            x = as_block(x, f"source {i}")
+            sources.append((x, as_block(y, f"source {i} labels", x.shape[1])))
             if x.shape[0] != self.dim:
                 raise InputError(f"source {i} has {x.shape[0]} feature rows, "
                                  f"target has {self.dim}")
         self.sources = sources
         labels = [(f"source {i} labels", y) for i, (_, y) in enumerate(sources)]
         if self.target_truth is not None:
-            self.target_truth = _owned_block(self.target_truth, "target_truth",
-                                             self.n_target)
+            self.target_truth = as_block(self.target_truth, "target_truth",
+                                         self.n_target)
             labels.append(("target_truth", self.target_truth))
         for name, y in labels:
             if y.shape[0] != self.classes:
@@ -94,7 +87,7 @@ class AdaptationDataset:
 
     @property
     def features(self) -> np.ndarray:
-        return np.hstack([self.source_features, self.target])
+        return np.concatenate([*(x for x, _ in self.sources), self.target], axis=1)
 
     @property
     def domain_matrix(self) -> np.ndarray:
@@ -164,7 +157,8 @@ def _class_means(classes: int, noise_sd: float, spacing: float = 6.0) -> np.ndar
     return radius * np.vstack([np.cos(angles), np.sin(angles)])
 
 
-def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
+def one_hot(labels, classes: int) -> np.ndarray:
+    labels = np.asarray(labels)
     out = np.zeros((classes, labels.shape[0]))
     out[labels, np.arange(labels.shape[0])] = 1.0
     return out

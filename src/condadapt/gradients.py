@@ -59,13 +59,6 @@ from .kernels import (
 
 
 @dataclass(frozen=True)
-class GradCheckReport:
-    max_rel_error: float
-    probes: int
-    step: float
-
-
-@dataclass(frozen=True)
 class CondKernelConfig:
     """Per-block kernel settings for the conditional objective.
 
@@ -224,37 +217,3 @@ def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
     if not np.all(np.isfinite(grad)):
         raise NumericalError("gradient assembly produced non-finite entries")
     return float(values[0]), grad
-
-
-def finite_diff_check(objective, xre, analytic_grad, *, probes: int = 50,
-                      step: float = 1e-5, seed: int = 0) -> GradCheckReport:
-    """Compare an analytic gradient against central differences.
-
-    ``objective`` is a scalar function of the feature matrix.  ``probes``
-    coordinates are chosen without replacement by a seeded generator; the
-    report's max_rel_error is max |g_num - g_ana| over the probed
-    coordinates divided by (max |g_ana| + 1e-12) over the whole matrix.
-    """
-    if probes <= 0:
-        raise InputError("no probes: finite-difference check needs probes >= 1")
-    if step <= 0:
-        raise InputError(f"step must be positive, got {step!r}")
-    xre = np.asarray(xre, dtype=float)
-    analytic_grad = np.asarray(analytic_grad, dtype=float)
-    if analytic_grad.shape != xre.shape:
-        raise InputError(f"gradient shape {analytic_grad.shape} != feature shape {xre.shape}")
-    total = xre.size
-    k = min(probes, total)
-    flat_idx = np.random.default_rng(seed).choice(total, size=k, replace=False)
-    denom = float(np.max(np.abs(analytic_grad))) + 1e-12
-    worst = 0.0
-    for fi in flat_idx:
-        i, j = np.unravel_index(fi, xre.shape)
-        xp = xre.copy()
-        xp[i, j] += step
-        fp = float(objective(xp))
-        xp[i, j] -= 2.0 * step
-        fm = float(objective(xp))
-        g_num = (fp - fm) / (2.0 * step)
-        worst = max(worst, abs(g_num - analytic_grad[i, j]) / denom)
-    return GradCheckReport(worst, k, float(step))

@@ -8,7 +8,7 @@ means, so the loss weights act at the sample-count scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -44,18 +44,18 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Loss terms of one step; total is derived once, never re-summed."""
+    """Loss terms of one step; total is derived once from the loss weights
+    beta1 and beta2, which are not kept, and never re-summed."""
 
     ce: float
     cond: float
     ent: float
-    beta1: float
-    beta2: float
+    beta1: InitVar[float]
+    beta2: InitVar[float]
     total: float = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "total",
-                           self.ce + self.beta1 * self.cond + self.beta2 * self.ent)
+    def __post_init__(self, beta1: float, beta2: float):
+        object.__setattr__(self, "total", self.ce + beta1 * self.cond + beta2 * self.ent)
 
 
 def init_params(dim_in: int, hidden: int, rep: int, classes: int,
@@ -164,14 +164,21 @@ def save_params(params: ModelParams, path):
 
 
 def load_params(path) -> ModelParams:
-    """Read a dump written by ``save_params``; round-trips bit-exactly."""
+    """Read a dump written by ``save_params``; round-trips bit-exactly.  Each
+    block must have the shape that the header's ``dims d h r k`` give it."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or not lines[0].startswith("condadapt-model 1 "):
         raise ParseError("not a condadapt model file (bad header)")
+    try:
+        d, h, r, k = (int(v) for v in lines[0].split()[3:])
+    except ValueError as exc:
+        raise ParseError(f"line 1: expected 'condadapt-model 1 dims d h r k': {exc}") from exc
+    shapes = {"g_w1": (d, h), "g_b1": (1, h), "g_w2": (h, r), "g_b2": (1, r),
+              "c_w": (r, k), "c_b": (1, k)}
     pos = 1
     arrays = {}
-    for name in ["g_w1", "g_b1", "g_w2", "g_b2", "c_w", "c_b"]:
+    for name, shape in shapes.items():
         if pos >= len(lines):
             raise ParseError(f"truncated model file: missing block {name!r}")
         head = lines[pos].split()
@@ -182,6 +189,9 @@ def load_params(path) -> ModelParams:
         except ValueError as exc:
             raise ParseError(f"line {pos + 1}: block {name!r} header has a non-integer "
                              f"shape: {exc}") from exc
+        if (rows, cols) != shape:
+            raise ParseError(f"line {pos + 1}: block {name!r} has shape {(rows, cols)}, "
+                             f"but dims {d} {h} {r} {k} give {shape}")
         block = lines[pos + 1: pos + 1 + rows]
         if len(block) < rows:
             raise ParseError(f"truncated model file inside block {name!r}")

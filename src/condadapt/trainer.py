@@ -8,14 +8,15 @@ config seed; the only randomness is the parameter initialization.
 
 An adaptation step runs one forward pass, after its update: its target columns
 set the pseudo-labels and answer the next ``target_accuracy``, and the next step
-on the same ``AdamState`` reuses it.  The step makes every array that forward
-read read-only: the parameters it returns (``copy()`` to edit) and the dataset's
-feature blocks.  So an in-place edit raises, and a replaced array is not reused.
+on the same ``AdamState`` reuses it.  The parameters the step returns are
+read-only (``copy()`` to edit), so an in-place edit raises and a replaced array
+is not reused.  The dataset's arrays are never frozen: the forward is reused
+only while the dataset's features equal, bit for bit, the features it read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -101,7 +102,7 @@ class AdamState:
     v: list[np.ndarray]
     t: int = 0
     scratch: list[np.ndarray] = field(init=False, repr=False)
-    # (forward inputs, ForwardState) of the last adaptation step
+    # (parameter arrays, features, ForwardState) of the last adaptation step
     carried: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -133,16 +134,16 @@ def _check_update(params: ModelParams, where: str):
         raise NumericalError(f"Adam update produced non-finite parameters at {where}")
 
 
-def _forward_inputs(params: ModelParams, dataset: AdaptationDataset) -> tuple:
-    return (*params.arrays(), *(x for x, _ in dataset.sources), dataset.target)
-
-
 def _reusable(record: tuple | None, params: ModelParams, dataset: AdaptationDataset) -> bool:
-    """Whether ``record[0]`` holds these very arrays, all still read-only (it
-    keeps its arrays alive, so equal ids mean the same arrays)."""
-    inputs = _forward_inputs(params, dataset)
-    return (record is not None and not any(a.flags.writeable for a in inputs)
-            and list(map(id, record[0])) == list(map(id, inputs)))
+    """Whether ``record``'s forward read these very parameter arrays, all still
+    read-only (it keeps them alive, so equal ids mean the same arrays), and
+    features equal to the dataset's bit for bit."""
+    if record is None or any(a.flags.writeable for a in params.arrays()):
+        return False
+    arrays, x, _ = record
+    features = dataset.features
+    return (list(map(id, arrays)) == list(map(id, params.arrays()))
+            and features.shape == x.shape and features.tobytes() == x.tobytes())
 
 
 def target_accuracy(params: ModelParams, dataset: AdaptationDataset) -> float | None:
@@ -150,11 +151,11 @@ def target_accuracy(params: ModelParams, dataset: AdaptationDataset) -> float | 
     if dataset.target_truth is None:
         return None
     if _reusable(dataset._last_step, params, dataset):  # the step that returned params
-        pred = dataset._last_step[1]
+        pred = dataset._last_step[2]
     else:
         pred = forward_pass(params, dataset.target).probs.argmax(axis=0)
     truth = dataset.target_truth.argmax(axis=0)
-    return float(np.mean(pred == truth))
+    return float(np.count_nonzero(pred == truth) / truth.shape[0])
 
 
 def init_params_for(dataset: AdaptationDataset, config: TrainConfig) -> ModelParams:
@@ -206,16 +207,16 @@ def adapt_epoch(dataset: AdaptationDataset, config: TrainConfig,
     """One full-batch step on the total objective, then a pseudo-label refresh.
 
     Returns new, read-only parameters and the loss terms that produced the
-    step's gradient, i.e. before the update; the dataset's feature blocks are
-    read-only afterwards too.  Terms with zero weight are skipped and recorded
-    as 0.  A non-finite term aborts with the offending loss named.
+    step's gradient, i.e. before the update.  Terms with zero weight are
+    skipped and recorded as 0.  A non-finite term aborts with the offending
+    loss named.
     """
     if dataset.pseudo_labels is None:
         raise InputError("initialize pseudo-labels before adaptation")
     if opt_state is None:
         opt_state = AdamState.for_params(params)
     carried = opt_state.carried  # looked up before the copy, whose arrays are new
-    st = (carried[1] if _reusable(carried, params, dataset)
+    st = (carried[2] if _reusable(carried, params, dataset)
           else forward_pass(params, dataset.features))
     params = params.copy()
 
@@ -252,28 +253,31 @@ def adapt_epoch(dataset: AdaptationDataset, config: TrainConfig,
     adam_step(params, grads, opt_state, config.learning_rate, config.adam)
     # the optimizer counts steps; in ``fit`` step t is adaptation epoch t - 1
     _check_update(params, f"adaptation epoch {opt_state.t - 1}")
-    inputs = _forward_inputs(params, dataset)
-    for a in inputs:  # what the carried forward reads
+    arrays = tuple(params.arrays())
+    for a in arrays:  # the parameters the carried forward reads
         a.setflags(write=False)
     # the old state lives until this one exists, so its pages are not re-faulted
     st = forward_pass(params, dataset.features)
-    opt_state.carried = (inputs, st)
+    opt_state.carried = (arrays, st.x, st)
     probs_t = st.probs[:, ns:]
     dataset.pseudo_labels = _pseudo_labels(probs_t, config.pseudo_label_mode)
-    dataset._last_step = (inputs, probs_t.argmax(axis=0))
+    dataset._last_step = (arrays, st.x, probs_t.argmax(axis=0))
     return params, LossBreakdown(ce, cond_term, ent, config.beta1, config.beta2)
 
 
 def fit(dataset: AdaptationDataset, config: TrainConfig,
         pretrained: tuple[ModelParams, TrainTrace] | None = None) -> tuple[ModelParams, TrainTrace]:
-    """Pre-train (or take ``pretrained``, ``pretrain``'s result for a config that
-    differs at most in beta1, beta2 and epsilon), set pseudo-labels, then adapt;
-    the trace's pretraining records carry this config's loss weights."""
+    """Pre-train (or take ``pretrained``, ``pretrain``'s result for this dataset
+    and a config that differs at most in beta1, beta2 and epsilon; a network of
+    other dimensions is a ConfigError), set pseudo-labels, then adapt."""
     if pretrained is None:
         pretrained = pretrain(dataset, config, init_params_for(dataset, config))
     params, pre_trace = pretrained
-    trace = TrainTrace([replace(b, beta1=config.beta1, beta2=config.beta2)
-                        for b in pre_trace.losses])
+    dims = (dataset.dim, config.hidden_units, config.rep_dim, dataset.classes)
+    if params.dims != dims:
+        raise ConfigError(f"pretrained network has dims {params.dims}, but the dataset "
+                          f"and config give {dims} (input, hidden, rep, classes)")
+    trace = TrainTrace(list(pre_trace.losses))
     init_pseudo_labels(dataset, params, config.pseudo_label_mode)
     opt_state = AdamState.for_params(params)
     for _ in range(config.adapt_epochs):

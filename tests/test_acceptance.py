@@ -12,8 +12,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from condadapt.data import SyntheticKind, SyntheticSpec, chain_triple, make_shifted_blobs
-from condadapt.gradients import CondKernelConfig, cond_objective, finite_diff_check
+from condadapt.data import (
+    SyntheticKind,
+    SyntheticSpec,
+    chain_triple,
+    make_shifted_blobs,
+    one_hot,
+)
+from condadapt.gradients import CondKernelConfig, cond_objective
 from condadapt.kernels import KernelConfig, gram, label_gram, normalize
 from condadapt.measures import (
     a_distance,
@@ -42,17 +48,7 @@ from condadapt.trainer import (
     pretrain,
     target_accuracy,
 )
-
-
-def one_hot(labels, k):
-    labels = np.asarray(labels)
-    y = np.zeros((k, labels.shape[0]))
-    y[labels, np.arange(labels.shape[0])] = 1.0
-    return y
-
-
-def params_equal(a, b):
-    return all(np.array_equal(x, y) for x, y in zip(a.arrays(), b.arrays()))
+from support import finite_diff_check, params_equal
 
 
 def verdict(capsys, number, name, ok, detail):

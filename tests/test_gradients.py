@@ -4,27 +4,19 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from condadapt.data import chain_triple
+from condadapt.data import chain_triple, one_hot
 from condadapt.errors import ConfigError, InputError
 from condadapt.gradients import (
     CondKernelConfig,
-    GradCheckReport,
     cell_terms,
     cond_cells,
     cond_objective,
     cond_values,
-    finite_diff_check,
     regularized_factor,
 )
 from condadapt.kernels import KernelConfig, gram, label_gram, pairwise_sq_dists, product_gram
 from condadapt.measures import cond, cond_from_features, nocco_from_features
-
-
-def one_hot(labels, k):
-    labels = np.asarray(labels)
-    y = np.zeros((k, labels.shape[0]))
-    y[labels, np.arange(labels.shape[0])] = 1.0
-    return y
+from support import dense_cond_objective, finite_diff_check
 
 
 def random_instance(seed, n=30, d=4):
@@ -105,53 +97,6 @@ def test_nonfinite_features_rejected_at_the_door():
         cond_objective(xre, y, z, cfgs, 1e-3)
 
 
-def _longdouble_solve(a, rhs):
-    """a^{-1} rhs by Gauss-Jordan elimination with partial pivoting, carried
-    out in np.longdouble (a 64-bit mantissa on x86-64)."""
-    n = a.shape[0]
-    m = np.hstack([a, rhs]).astype(np.longdouble)
-    for k in range(n):  # columns left of k are already those of the identity
-        p = k + int(np.argmax(np.abs(m[k:, k])))
-        m[[k, p]] = m[[p, k]]
-        m[k, k:] /= m[k, k]
-        row = m[k, k:].copy()
-        m[:, k:] -= np.outer(m[:, k], row)
-        m[k, k:] = row
-    return m[:, n:]
-
-
-def dense_cond_objective(xre, y, z, cfgs, epsilon):
-    """Dense n x n reference of the conditional value and feature gradient,
-    evaluated in np.longdouble and returned as float64."""
-    xre = np.asarray(xre, dtype=np.longdouble)
-    n = xre.shape[1]
-    eye = np.eye(n, dtype=np.longdouble)
-    ridge = n * np.longdouble(epsilon)
-
-    def center(k):  # H K H; exactly 0 for a constant K
-        return k - k.mean(axis=0) - k.mean(axis=1)[:, None] + k.mean()
-
-    def gauss(m, cfg):
-        if cfg is None:
-            return np.ones((n, n), dtype=np.longdouble)
-        m = np.asarray(m, dtype=np.longdouble)
-        diff = m[:, :, None] - m[:, None, :]
-        return np.exp(-np.einsum("kij,kij->ij", diff, diff) / cfg.bandwidth_sq)
-
-    def ridge_solve(k, rhs):  # (H K H + n eps I)^{-1} rhs
-        return _longdouble_solve(center(k) + ridge * eye, rhs)
-
-    kx, ky, kz = gauss(xre, cfgs.x), gauss(y, cfgs.y), gauss(z, cfgs.z)
-    rzt = eye - ridge * ridge_solve(kz * ky, eye)
-    s = ridge * ridge_solve(ky, eye)  # I - R_Y
-    srzs = s @ rzt @ s
-    bx_srzs = ridge_solve(kx * ky, srzs)
-    value = np.trace(srzs - ridge * bx_srzs)
-    e = center(ridge * ridge_solve(kx * ky, bx_srzs.T)) * ky * kx
-    grad = (4 / np.longdouble(cfgs.x.bandwidth_sq)) * (xre @ e - xre * e.sum(axis=1))
-    return float(value), grad.astype(float)
-
-
 @settings(deadline=None, max_examples=60)
 @given(seed=st.integers(0, 10_000), classes=st.integers(1, 5),
        domains=st.integers(2, 4), n=st.integers(2, 48),
@@ -194,7 +139,7 @@ def test_cell_factorization_matches_dense_oracle(seed, classes, domains, n,
 
 
 def test_domain_as_a_function_of_the_label_is_resolved():
-    # Z = Y: the value is O(eps^2) and the dense reference above is off by
+    # Z = Y: the value is O(eps^2) and the dense reference in support is off by
     # 1e-10 here (5e-7 in float64); the expected numbers come from a 50-digit mpmath evaluation
     # of the same dense formulas with the same bandwidths
     xre = np.array([[0.3, -1.1, 0.8, 1.7], [-0.4, 0.9, 0.2, -1.3]])
@@ -340,39 +285,3 @@ def test_duplicated_samples_share_gradients():
     cfgs = CondKernelConfig.resolve(x2, y2, z2)
     grad = cond_objective(x2, y2, z2, cfgs, 1e-3)[1]
     np.testing.assert_allclose(grad[:, ::2], grad[:, 1::2], atol=1e-12)
-
-
-# finite-difference harness
-
-
-def test_harness_exact_on_quadratic():
-    rng = np.random.default_rng(10)
-    x = rng.normal(size=(3, 8))
-    rep = finite_diff_check(lambda m: 0.5 * float(np.sum(m * m)), x, x)
-    assert rep.max_rel_error < 1e-8
-    assert isinstance(rep, GradCheckReport)
-    assert rep.step == 1e-5
-
-
-def test_harness_rejects_zero_probes():
-    x = np.zeros((2, 2))
-    with pytest.raises(InputError, match="no probes"):
-        finite_diff_check(lambda m: 0.0, x, x, probes=0)
-
-
-def test_harness_rejects_bad_step_and_shape():
-    x = np.zeros((2, 2))
-    with pytest.raises(InputError):
-        finite_diff_check(lambda m: 0.0, x, x, step=0.0)
-    with pytest.raises(InputError):
-        finite_diff_check(lambda m: 0.0, x, np.zeros((3, 2)))
-
-
-def test_harness_deterministic_given_seed():
-    xre, y, z = random_instance(11, n=15)
-    cfgs = CondKernelConfig.resolve(xre, y, z)
-    grad = cond_objective(xre, y, z, cfgs, 1e-3)[1]
-    obj = lambda m: cond_objective(m, y, z, cfgs, 1e-3)[0]
-    a = finite_diff_check(obj, xre, grad, probes=10, seed=4)
-    b = finite_diff_check(obj, xre, grad, probes=10, seed=4)
-    assert a == b

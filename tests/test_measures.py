@@ -8,16 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condadapt import measures
-from condadapt.data import chain_triple
+from condadapt.data import chain_triple, one_hot
 from condadapt.errors import ConfigError, DegenerateDataError, InputError, NumericalError
 from condadapt.gradients import cond_objective
 from condadapt.kernels import (
     GramMatrix,
     KernelConfig,
-    center,
     gram,
     label_gram,
-    normalize,
     product_gram,
 )
 from condadapt.measures import (
@@ -31,6 +29,12 @@ from condadapt.measures import (
     nocco_from_features,
     per_class_nocco_from_features,
 )
+from support import (
+    centered,
+    dense_cond_statistic,
+    dense_per_class_null,
+    dense_plain_null,
+)
 
 UNIT = KernelConfig(1.0)
 
@@ -38,13 +42,6 @@ UNIT = KernelConfig(1.0)
 def random_features(seed, d=3, n=30, scale=1.0):
     rng = np.random.default_rng(seed)
     return scale * rng.normal(size=(d, n))
-
-
-def one_hot(labels, k):
-    labels = np.asarray(labels)
-    y = np.zeros((k, labels.shape[0]))
-    y[labels, np.arange(labels.shape[0])] = 1.0
-    return y
 
 
 def plain_of_grams(kx, kz, epsilon):
@@ -75,7 +72,7 @@ def test_nocco_two_by_two_closed_form():
 def test_nocco_self_dependence_eigen_oracle():
     x = random_features(1, n=40)
     k = gram(x, KernelConfig.from_data(x))
-    lam = np.linalg.eigvalsh(center(k))
+    lam = np.linalg.eigvalsh(centered(k.entries))
     expected = float(np.sum((lam / (lam + 40 * 1e-3)) ** 2))
     assert plain_of_grams(k, k, 1e-3).statistic == pytest.approx(expected, rel=1e-10)
     assert plain_of_grams(k, k, 1e-3).statistic > 0
@@ -209,15 +206,6 @@ def test_cond_within_class_shortcut_matches_brute_rebuild():
     assert rep.permutation_pvalue == pytest.approx((1 + hits) / 31.0, abs=1e-15)
 
 
-def dense_cond_statistic(kxt, kzt, ky, epsilon):
-    """Dense n x n reference: three normalizations and S = I - R_Y formed."""
-    def normalized(k):
-        return normalize(center(k), epsilon)
-
-    s = np.eye(kxt.n) - normalized(ky)
-    return float(np.sum(normalized(kzt) * (s @ normalized(kxt) @ s)))
-
-
 @settings(deadline=None, max_examples=80)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 32),
        y_kind=st.sampled_from(["hard", "constant", "continuous"]),
@@ -256,10 +244,10 @@ def test_cond_cells_match_dense_oracle_and_brute_null(seed, n, y_kind, z_kind, e
     with patch.object(measures, "_BLOCK_COLUMNS", block_columns):
         rep = cond(kxt, kzt, ky, epsilon, labels=labels, permutations=permutations,
                    seed=seed)
-    expected = dense_cond_statistic(kxt, kzt, ky, epsilon)
-    # the dense path forms S = I - R_Y by subtraction, so its absolute error
-    # grows like 1e-16 / eps (measured: at most a tenth of the term below);
-    # that term also covers exact zeros, where the dense path leaves ~1e-15
+    expected = dense_cond_statistic(kxt.entries, kzt.entries, ky.entries, epsilon)
+    # the reference solves in np.longdouble; the absolute term covers
+    # statistics at or near zero, where the float64 route's rounding error is
+    # absolute, not relative
     assert abs(rep.statistic - expected) <= 1e-11 * abs(expected) + 1e-15 / epsilon
 
     hits = 0
@@ -325,11 +313,11 @@ def test_features_route_matches_gram_route_and_dense_oracle(seed, n, y_kind, z_k
     kx = gram(x, KernelConfig.from_data(x))
     via_grams = cond(product_gram(kx, ky), product_gram(label_gram(z), ky), ky, epsilon,
                      labels=labels, permutations=permutations, seed=seed)
-    expected = dense_cond_statistic(product_gram(kx, ky), product_gram(label_gram(z), ky),
-                                    ky, epsilon)
+    expected = dense_cond_statistic(kx.entries * ky.entries,
+                                    label_gram(z).entries * ky.entries, ky.entries, epsilon)
     gap = abs(rep.statistic - via_grams.statistic)
     assert gap <= 1e-11 * abs(via_grams.statistic) + 1e-15
-    # the dense path's own error is covered as in the Gram-route test above
+    # the route's error is bounded as in the Gram-route test above
     assert abs(rep.statistic - expected) <= 1e-11 * abs(expected) + 1e-15 / epsilon
     assert rep.permutation_pvalue == via_grams.permutation_pvalue
     assert (rep.kind, rep.n, rep.epsilon) == (StatKind.COND, n, epsilon)
@@ -528,40 +516,6 @@ def test_per_class_skips_thin_classes_with_warning():
     assert rep.skipped_classes == 1
 
 
-def dense_plain_null(kx, kz, epsilon, perms):
-    """Dense plain statistic and null: Tr(R_Z R_X) from normalized Grams,
-    R_Z conjugated by each shuffle, with whether that shuffle leaves K_Z
-    unchanged entry for entry (an exact tie)."""
-    rx = normalize(center(kx), epsilon)
-    rz = normalize(center(kz), epsilon)
-    stat = float(np.sum(rz * rx))
-    reps = np.array([float(np.sum(rz[np.ix_(p, p)] * rx)) for p in perms])
-    ties = np.array([np.array_equal(kz[np.ix_(p, p)], kz) for p in perms], dtype=bool)
-    return stat, reps, ties
-
-
-def dense_per_class_null(kx, kz, labels, epsilon, permutations, seed):
-    """Dense per-class statistic and null: replicate i draws one permutation
-    per kept class, in ``np.unique`` order, from ``default_rng(seed + i)``;
-    a replicate ties when it ties in every class.  None if every class is
-    skipped."""
-    kept = [idx for idx in (np.flatnonzero(labels == c) for c in np.unique(labels))
-            if idx.shape[0] >= 2 and np.ptp(kz[np.ix_(idx, idx)]) > 1e-15]
-    if not kept:
-        return None
-    rngs = [np.random.default_rng(seed + i) for i in range(permutations)]
-    total = sum(idx.shape[0] for idx in kept)
-    stat, reps, ties = 0.0, np.zeros(permutations), np.ones(permutations, dtype=bool)
-    for idx in kept:
-        block = np.ix_(idx, idx)
-        s, r, t = dense_plain_null(kx[block], kz[block], epsilon,
-                                   [rng.permutation(idx.shape[0]) for rng in rngs])
-        stat += (idx.shape[0] / total) * s
-        reps += (idx.shape[0] / total) * r
-        ties &= t
-    return stat, reps, ties
-
-
 @settings(deadline=None, max_examples=80)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 32),
        z_kind=st.sampled_from(["one-hot", "continuous", "constant"]),
@@ -603,7 +557,7 @@ def test_plain_and_per_class_nulls_match_the_dense_nulls(seed, n, z_kind, classe
     if per_class is not None:
         checks.append((per_class, oracle))
     for rep, (stat, reps, ties) in checks:
-        # the dense path's own error is covered as in the conditional tests
+        # the route's error is bounded as in the conditional tests
         assert abs(rep.statistic - stat) <= 1e-11 * abs(stat) + 1e-15 / epsilon
         # an exact tie is a hit even where the dense sum rounded it below
         hits = np.count_nonzero((reps >= stat) | ties)
@@ -635,7 +589,7 @@ def test_seeded_plain_and_per_class_reports_are_unchanged(shift, plain_stat, pla
 def test_plain_statistic_matches_the_dense_trace_on_the_collapse_datasets():
     # the 50 datasets of acceptance criterion 1, whose constant-label collapse
     # now compares the cells route with itself: here the plain statistic is
-    # checked against a dense Tr(R_Z R_X) from normalized centered Grams
+    # checked against the dense Tr(R_Z R_X) of the normalized centered Grams
     rng = np.random.default_rng(1001)
     epsilons = [1e-2, 1e-4, 1e-6]
     for i in range(50):
@@ -644,9 +598,8 @@ def test_plain_statistic_matches_the_dense_trace_on_the_collapse_datasets():
         x = rng.normal(size=(d, n))
         z = rng.normal(size=(2, n)) + 0.5 * x[:1]
         eps = epsilons[i % 3]
-        rx = normalize(center(gram(x, KernelConfig.from_data(x))), eps)
-        rz = normalize(center(label_gram(z)), eps)
-        dense = float(np.sum(rz * rx))
+        dense, _, _ = dense_plain_null(gram(x, KernelConfig.from_data(x)).entries,
+                                       label_gram(z).entries, eps, [])
         stat = nocco_from_features(x, z, eps).statistic
         assert abs(stat - dense) <= 1e-11 * abs(dense) + 1e-15 / eps
 

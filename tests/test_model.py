@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condadapt.data import one_hot
 from condadapt.errors import InputError, ParseError
-from condadapt.gradients import cond_objective, finite_diff_check
+from condadapt.gradients import cond_objective
 from condadapt.model import (
     LossBreakdown,
     ModelParams,
@@ -21,13 +22,7 @@ from condadapt.model import (
     softmax_columns,
 )
 from condadapt.trainer import AdaptationDataset, TrainConfig, adapt_epoch
-
-
-def one_hot(labels, k):
-    labels = np.asarray(labels)
-    y = np.zeros((k, labels.shape[0]))
-    y[labels, np.arange(labels.shape[0])] = 1.0
-    return y
+from support import finite_diff_check
 
 
 def zero_params(d=3, h=5, r=4, k=2):
@@ -131,6 +126,9 @@ def test_entropy_decreases_toward_vertex():
 def test_loss_breakdown_identity_is_construction():
     bd = LossBreakdown(1.37, 0.21, 4.9, 0.05, 0.003)
     assert bd.total == 1.37 + 0.05 * 0.21 + 0.003 * 4.9
+    # the weights only derive the total; the record keeps what was measured
+    assert not hasattr(bd, "beta1") and not hasattr(bd, "beta2")
+    assert bd == LossBreakdown(1.37, 0.21, 4.9, 0.05, 0.003)
 
 
 def step_breakdown(xs, ys, xt, pseudo, params, beta1, beta2, epsilon):
@@ -294,6 +292,30 @@ def test_load_rejects_a_non_integer_block_shape(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match="g_w1"):
         load_params(path)
+
+
+def test_load_rejects_a_block_that_contradicts_the_header_dims(tmp_path):
+    params = init_params(2, 4, 3, 2, seed=16)
+    path = tmp_path / "model.txt"
+    save_params(params, path)
+    saved = path.read_text().splitlines()
+    assert saved[0] == "condadapt-model 1 dims 2 4 3 2"
+    # g_b1 one entry short of g_w1's 4 columns, with its own header agreeing
+    lines = list(saved)
+    i = lines.index("g_b1 1 4")
+    lines[i] = "g_b1 1 3"
+    lines[i + 1] = " ".join(lines[i + 1].split()[:3])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="g_b1.*dims 2 4 3 2"):
+        load_params(path)
+    # dims that no block has
+    path.write_text("\n".join(["condadapt-model 1 dims 5 5 5 5"] + saved[1:]) + "\n")
+    with pytest.raises(ParseError, match="g_w1.*dims 5 5 5 5"):
+        load_params(path)
+    for header in ("condadapt-model 1 dims 2 4 3", "condadapt-model 1 dims 2 4 x 2"):
+        path.write_text("\n".join([header] + saved[1:]) + "\n")
+        with pytest.raises(ParseError, match="dims d h r k"):
+            load_params(path)
 
 
 def test_load_rejects_corrupt_floats(tmp_path):
