@@ -8,21 +8,14 @@ from .errors import (
     ParseError,
 )
 from .kernels import (
-    GramMatrix,
     KernelConfig,
-    center,
-    gram,
-    label_gram,
     mean_sq_dist_bandwidth,
-    normalize,
-    product_gram,
 )
 from .measures import (
     AdistanceReport,
     DependenceReport,
     StatKind,
     a_distance,
-    cond,
     cond_from_features,
     convergence_probe,
     mmd,

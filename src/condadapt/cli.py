@@ -26,10 +26,11 @@ from .trainer import (PseudoLabelMode, TrainConfig, fit, init_params_for, pretra
 _DATA_ERRORS = (InputError, ConfigError, DegenerateDataError, NumericalError,
                 ParseError, OSError)
 
-# CLI family -> (kind, default classes, default shift in noise-sd units)
+# CLI family -> (kind, default classes, default shift): an offset in noise-sd
+# units for blobs and chains, an angle in radians for the moons
 _FAMILIES = {
     "shifted-blobs": (data_mod.SyntheticKind.SHIFTED_BLOBS, 4, 2.5),
-    "rotated-moons": (data_mod.SyntheticKind.ROTATED_MOONS, 2, 2.5),
+    "rotated-moons": (data_mod.SyntheticKind.ROTATED_MOONS, 2, 1.25),
     "chain-ci": (data_mod.SyntheticKind.CONDITIONAL_CHAIN, 3, 0.0),
     "chain-dep": (data_mod.SyntheticKind.CONDITIONAL_CHAIN, 3, 2.0),
 }
@@ -106,11 +107,13 @@ def _add_train_flags(p: argparse.ArgumentParser):
 def _dataset_from_args(args, seed: int) -> data_mod.AdaptationDataset:
     if args.input is not None:
         return data_mod.load_features(args.input)
-    kind, classes, shift_sds = _FAMILIES[args.synthetic]
+    kind, classes, shift = _FAMILIES[args.synthetic]
+    if kind is not data_mod.SyntheticKind.ROTATED_MOONS:
+        shift *= args.noise_sd
     return data_mod.generate(data_mod.SyntheticSpec(
         kind=kind, classes=classes if args.classes is None else args.classes,
         samples_per_class_per_domain=args.per_class,
-        shift=shift_sds * args.noise_sd if args.shift is None else args.shift,
+        shift=shift if args.shift is None else args.shift,
         noise_sd=args.noise_sd, num_sources=args.sources, seed=seed))
 
 
@@ -298,7 +301,7 @@ def _emit(report: dict, out_path: str | None):
 
 
 def _config_snapshot(args) -> dict:
-    skip = {"command", "out", "func"}
+    skip = {"command", "out"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 

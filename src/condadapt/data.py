@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, InputError, ParseError
-from .kernels import as_block, check_positive
+from .kernels import as_block, check_integer, check_positive
 
 
 @dataclass
@@ -122,12 +122,9 @@ class SyntheticSpec:
     class_spacing: float = 6.0  # neighbour mean separation in noise-sd units
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise ConfigError("need at least 2 classes")
-        if self.samples_per_class_per_domain < 2:
-            raise ConfigError("need at least 2 samples per class per domain")
-        if self.num_sources < 1:
-            raise ConfigError("need at least 1 source domain")
+        for name, low in (("classes", 2), ("samples_per_class_per_domain", 2),
+                          ("num_sources", 1), ("seed", 0)):
+            check_integer(name, getattr(self, name), low)
         for name in ("noise_sd", "class_spacing"):
             check_positive(name, getattr(self, name))
         if self.kind is SyntheticKind.ROTATED_MOONS:
@@ -236,6 +233,7 @@ def chain_triple(n: int, seed: int, *, classes: int = 3, domains: int = 2,
         raise ConfigError(f"need at least {2 * domains} samples")
     if classes < 2 or domains < 2:
         raise ConfigError("chain needs at least 2 classes and 2 domains")
+    check_integer("seed", seed)
     rng = np.random.default_rng(seed)
     means = _class_means(classes, noise_sd)
     shift_vec = _shift_vector(shift)

@@ -200,8 +200,6 @@ def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
         return 0.0, np.zeros_like(xre)
     if cfgs is None:
         cfgs = CondKernelConfig.resolve(xre, y, z)
-    if cfgs.y is None and cfgs.z is None:  # K_Zt = 1 centers to 0, so R_Zt = 0
-        return 0.0, np.zeros_like(xre)
 
     kxt, cell, my, mzt = cond_cells(xre, y, z, cfgs)
     ridge = n * epsilon

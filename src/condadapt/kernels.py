@@ -58,6 +58,12 @@ def check_positive(name: str, value: float):
         raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
+def check_integer(name: str, value, low: int = 0):
+    """ConfigError naming ``name`` unless ``value`` is an integer of at least ``low``."""
+    if not (isinstance(value, (int, np.integer)) and value >= low):
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def as_block(m, name: str, n: int | None = None) -> np.ndarray:
     """m as a finite (rows, columns) float block in C order, a 1-d m as one row.
 

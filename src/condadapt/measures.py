@@ -48,7 +48,8 @@ import scipy.linalg
 
 from .errors import ConfigError, DegenerateDataError, InputError, NumericalError
 from .gradients import CondKernelConfig, cell_terms, cond_cells, cond_values, regularized_factor
-from .kernels import GramMatrix, KernelConfig, as_block, check_positive, gram, is_constant_block
+from .kernels import (GramMatrix, KernelConfig, as_block, check_integer, check_positive, gram,
+                      is_constant_block)
 from .trainer import AdamConfig, AdamState, adam_step
 
 # Right-hand-side columns per block of replicates (at least one replicate),
@@ -134,9 +135,9 @@ def _null_classes(labels, rows: np.ndarray, what: str) -> list[np.ndarray]:
 def _shuffles(classes: list[np.ndarray], n: int, permutations: int, seed: int) -> np.ndarray:
     """Column i shuffles each class's samples among themselves, one
     ``rng.permutation`` per class in list order from ``default_rng(seed + i)``.
-    A negative count is a ConfigError."""
-    if permutations < 0:
-        raise ConfigError(f"permutations must be >= 0, got {permutations!r}")
+    A negative count or seed is a ConfigError."""
+    check_integer("permutations", permutations)
+    check_integer("seed", seed)
     perms = np.tile(np.arange(n)[:, None], (1, permutations))
     for i in range(permutations):
         rng = np.random.default_rng(seed + i)
@@ -210,8 +211,8 @@ def cond(kxt: GramMatrix, kzt: GramMatrix, ky: GramMatrix, epsilon: float, *,
     ``kxt`` and ``kzt`` are Grams of the extended blocks (X, Y) and (Z, Y);
     build them with ``product_gram``.  The permutation null shuffles Z
     within each class of ``labels``, which every sample of a class must
-    share a K_Y row with; such shuffles fix Y, so the extended Gram permutes
-    as a whole.
+    share a K_Y row with (checked whenever ``labels`` is given); such
+    shuffles fix Y, so the extended Gram permutes as a whole.
     """
     check_positive("epsilon", epsilon)
     if not (kxt.n == kzt.n == ky.n):
@@ -219,7 +220,8 @@ def cond(kxt: GramMatrix, kzt: GramMatrix, ky: GramMatrix, epsilon: float, *,
     for name, k in (("K_Xt", kxt), ("K_Zt", kzt), ("K_Y", ky)):
         if not np.all(np.isfinite(k.entries)):
             raise NumericalError(f"non-finite entries in {name}")
-    classes = _null_classes(labels, ky.entries, "K_Y rows") if permutations > 0 else []
+    classes = (_null_classes(labels, ky.entries, "K_Y rows")
+               if labels is not None or permutations > 0 else [])
     # two samples share a cell when their rows of [K_Y | K_Zt] are equal
     ids: dict[bytes, int] = {}
     cell = np.array([ids.setdefault(r.tobytes(), len(ids))
@@ -274,15 +276,17 @@ def cond_from_features(x, y, z, epsilon: float, *, labels=None, permutations: in
     Bandwidths are fitted as ``label_gram`` fits them; the only n x n Gram
     built is K_Xt, since the label and domain kernels are taken over the
     cells of the stacked (Y; Z) block.  Every sample of a class of
-    ``labels`` must have the same label column.  A constant domain block
-    gives the estimator's value, where ``cond_objective`` returns 0.0.
+    ``labels``, when given, must have the same label column.  A constant
+    domain block gives the estimator's value, where ``cond_objective``
+    returns 0.0.
     """
     check_positive("epsilon", epsilon)
     x = as_block(x, "feature")
     n = x.shape[1]
     y = as_block(y, "label", n)
     z = as_block(z, "domain", n)
-    classes = _null_classes(labels, y.T, "label columns") if permutations > 0 else []
+    classes = (_null_classes(labels, y.T, "label columns")
+               if labels is not None or permutations > 0 else [])
     return _grouped_report(StatKind.COND, x, y, z, [np.arange(n)], epsilon, permutations,
                            seed, classes)
 
@@ -323,20 +327,18 @@ def _two_samples(xs, xt) -> tuple[np.ndarray, np.ndarray]:
     return xs, xt
 
 
-def mmd(xa, xb, cfg: KernelConfig | None = None) -> float:
+def mmd(xa, xb) -> float:
     """Biased (V-statistic) squared maximum mean discrepancy.
 
     mean(K_AA) + mean(K_BB) - 2 mean(K_AB) under a shared Gaussian kernel
     between the source sample xa and the target sample xb, blocks with the
-    same rows; with cfg=None the bandwidth is fitted on the pooled columns.
+    same rows; the bandwidth is fitted on the pooled columns.
     The three blocks are cut from one Gram of the pooled columns, which gives
     equal columns equal rows, so xa == xb gives exactly 0.
     """
     xa, xb = _two_samples(xa, xb)
     pooled = np.hstack([xa, xb])
-    if cfg is None:
-        cfg = KernelConfig.from_data(pooled)
-    k = gram(pooled, cfg).entries
+    k = gram(pooled, KernelConfig.from_data(pooled)).entries
     na = xa.shape[1]
     return float(k[:na, :na].mean() + k[na:, na:].mean() - 2.0 * k[:na, na:].mean())
 
@@ -391,6 +393,7 @@ def a_distance(xs, xt, split_seed: int = 0, *,
     InputError naming the missing one.
     """
     xs, xt = _two_samples(xs, xt)
+    check_integer("split_seed", split_seed)
     if (labels_s is None) != (labels_t is None):
         missing = "labels_t" if labels_t is None else "labels_s"
         raise InputError(f"per-class d_A needs both label vectors; {missing} is missing")
@@ -409,7 +412,7 @@ def a_distance(xs, xt, split_seed: int = 0, *,
             except InputError:
                 skipped.append(int(c))
                 continue
-            per_class.append((int(c), 2.0 * (1.0 - 2.0 * e_c)))
+            per_class.append((int(c), AdistanceReport.from_error(e_c).d_a))
         if not per_class:
             raise DegenerateDataError("no class has enough samples in both domains")
     return AdistanceReport.from_error(err, per_class=per_class, skipped_classes=skipped)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .data import check_one_hot
 from .errors import InputError, ParseError
+from .kernels import check_integer
 
 LOG_CLAMP = 1e-12
 
@@ -63,6 +64,7 @@ def init_params(dim_in: int, hidden: int, rep: int, classes: int,
     """Seeded uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) initialization."""
     if min(dim_in, hidden, rep, classes) < 1:
         raise InputError("all layer sizes must be positive")
+    check_integer("seed", seed)
     rng = np.random.default_rng(seed)
 
     def layer(fan_in, fan_out):
@@ -82,7 +84,6 @@ class ForwardState:
     """Cached activations of one full-batch forward pass."""
 
     x: np.ndarray
-    pre_hidden: np.ndarray
     hidden: np.ndarray
     xre: np.ndarray
     probs: np.ndarray
@@ -97,11 +98,12 @@ def softmax_columns(logits) -> np.ndarray:
 
 def forward_pass(params: ModelParams, x) -> ForwardState:
     x = np.asarray(x, dtype=float)
-    pre = params.g_w1.T @ x + params.g_b1[:, None]
-    hidden = np.maximum(pre, 0.0)
+    hidden = params.g_w1.T @ x  # built in place: no h x n temporaries
+    hidden += params.g_b1[:, None]
+    np.maximum(hidden, 0.0, out=hidden)
     xre = params.g_w2.T @ hidden + params.g_b2[:, None]
     probs = softmax_columns(params.c_w.T @ xre + params.c_b[:, None])
-    return ForwardState(x, pre, hidden, xre, probs)
+    return ForwardState(x, hidden, xre, probs)
 
 
 def backward_pass(params: ModelParams, state: ForwardState, dlogits,
@@ -120,9 +122,9 @@ def backward_pass(params: ModelParams, state: ForwardState, dlogits,
     dhidden = params.g_w2 @ dxre_total
     g_w2_g = state.hidden @ dxre_total.T
     g_b2_g = dxre_total.sum(axis=1)
-    dpre = dhidden * (state.pre_hidden > 0.0)
-    g_w1_g = state.x @ dpre.T
-    g_b1_g = dpre.sum(axis=1)
+    dhidden *= state.hidden > 0.0  # in place: no h x n temporary
+    g_w1_g = state.x @ dhidden.T
+    g_b1_g = dhidden.sum(axis=1)
     return [g_w1_g, g_b1_g, g_w2_g, g_b2_g, c_w_g, c_b_g]
 
 

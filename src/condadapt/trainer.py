@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
 from .data import AdaptationDataset, one_hot
 from .errors import ConfigError, InputError, NumericalError
 from .gradients import cond_objective
-from .kernels import check_positive
+from .kernels import check_integer, check_positive
 from .model import (
     LossBreakdown,
     ModelParams,
@@ -64,7 +65,7 @@ class TrainConfig:
     pretrain_epochs: int = 100
     adapt_epochs: int = 100
     learning_rate: float = 1e-3
-    adam: AdamConfig = AdamConfig()
+    adam: ClassVar[AdamConfig] = AdamConfig()  # fixed, not a constructor argument
     seed: int = 0
     pseudo_label_mode: PseudoLabelMode = PseudoLabelMode.HARD
     hidden_units: int = 512
@@ -77,10 +78,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be non-negative and finite, got {value!r}")
         for name in ("epsilon", "learning_rate"):
             check_positive(name, getattr(self, name))
-        if self.pretrain_epochs < 0 or self.adapt_epochs < 0:
-            raise ConfigError("epoch counts must be non-negative")
-        if min(self.hidden_units, self.rep_dim) < 1:
-            raise ConfigError("layer sizes must be positive")
+        for name, low in (("pretrain_epochs", 0), ("adapt_epochs", 0), ("seed", 0),
+                          ("hidden_units", 1), ("rep_dim", 1)):
+            check_integer(name, getattr(self, name), low)
 
 
 @dataclass

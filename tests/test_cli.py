@@ -49,6 +49,19 @@ def test_family_defaults_match_the_explicit_spec(family, kind, classes, shift):
     np.testing.assert_array_equal(got.domain_matrix, want.domain_matrix)
 
 
+@pytest.mark.parametrize("family,kind,shift", [
+    ("rotated-moons", SyntheticKind.ROTATED_MOONS, 1.25),  # an angle: radians
+    ("shifted-blobs", SyntheticKind.SHIFTED_BLOBS, 0.25),  # an offset: 2.5 sd
+])
+def test_default_shift_at_another_noise_sd(family, kind, shift):
+    args = cli.build_parser().parse_args(["measure", "--synthetic", family, "--classes", "2",
+                                          "--noise-sd", "0.1", "--stat", "mmd"])
+    spec = SyntheticSpec(kind=kind, classes=2, samples_per_class_per_domain=50,
+                         shift=shift, noise_sd=0.1, num_sources=1, seed=0)
+    got, want = cli._dataset_from_args(args, args.seed), data.generate(spec)
+    np.testing.assert_array_equal(got.features, want.features)
+
+
 # measure
 
 
@@ -157,6 +170,29 @@ def test_exit_code_1_names_a_non_finite_spec_value(flags, name, capsys):
     assert f"error: {name} must be" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["measure", "--synthetic", "chain-dep", "--stat", "cond"],
+    ["measure", "--synthetic", "chain-dep", "--stat", "nocco", "--permutations", "3"],
+    ["train", *FAST_TRAIN],
+    ["sweep", *FAST_TRAIN, "--beta1-grid", "0", "--beta2-grid", "0"],
+])
+def test_exit_code_1_names_a_negative_seed(argv, capsys):
+    rc, report, err = run(capsys, [*argv, "--per-class", "5", "--seed", "-1"])
+    assert rc == 1 and report is None
+    assert "error: seed must be an integer >= 0" in err
+
+
+def test_exit_code_1_names_a_negative_seed_for_a_feature_file(tmp_path, capsys):
+    path = tmp_path / "ds.csv"
+    save_features(make_shifted_blobs(SyntheticSpec(kind=SyntheticKind.SHIFTED_BLOBS,
+                                                   samples_per_class_per_domain=10)), path)
+    for argv in (["measure", "--stat", "nocco", "--permutations", "3"],
+                 ["measure", "--stat", "a-distance"],
+                 ["train", "--pretrain-epochs", "1", "--adapt-epochs", "1"]):
+        rc, report, err = run(capsys, [*argv, "--input", str(path), "--seed", "-1"])
+        assert rc == 1 and report is None and "seed must be an integer >= 0" in err
+
+
 def test_exit_code_2_on_bad_arguments(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["measure", "--synthetic", "shifted-blobs", "--stat", "bogus"])
@@ -231,6 +267,21 @@ def test_train_loads_saved_dataset(tmp_path, capsys):
                               "--hidden", "8", "--rep-dim", "4"])
     assert rc == 0
     assert rep["results"]["per_trial_accuracy"][0] is not None
+
+
+def test_train_on_an_unlabeled_target_reports_no_accuracy(tmp_path, capsys):
+    spec = SyntheticSpec(kind=SyntheticKind.SHIFTED_BLOBS, samples_per_class_per_domain=10)
+    labeled = make_shifted_blobs(spec)
+    path = tmp_path / "unlabeled.csv"
+    save_features(AdaptationDataset(sources=labeled.sources, target=labeled.target), path)
+    rc, rep, err = run(capsys, ["train", "--input", str(path), "--trials", "2",
+                                "--pretrain-epochs", "2", "--adapt-epochs", "2",
+                                "--hidden", "8", "--rep-dim", "4"])
+    assert rc == 0
+    assert rep["results"]["per_trial_accuracy"] == [None, None]
+    assert rep["results"]["accuracy_mean"] is None
+    assert rep["results"]["accuracy_stderr"] is None
+    assert "mean accuracy: -" in err
 
 
 # sweep

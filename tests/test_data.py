@@ -52,6 +52,21 @@ def test_spec_rejects_a_non_finite_value_by_name(kind, name, value):
         SyntheticSpec(kind=kind, **{name: value})
 
 
+@pytest.mark.parametrize("kind", list(SyntheticKind))
+@pytest.mark.parametrize("name, value", [
+    ("seed", -3), ("seed", 0.5), ("classes", 2.5), ("classes", 1),
+    ("samples_per_class_per_domain", 3.0), ("num_sources", 0),
+])
+def test_spec_rejects_a_bad_integer_by_name(kind, name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        SyntheticSpec(kind=kind, **{name: value})
+
+
+def test_chain_triple_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed"):
+        chain_triple(30, -1)
+
+
 def test_generate_looks_up_the_generator_when_called(monkeypatch):
     # a wrapper installed on the module attribute (as a tracer does) must run
     calls = []
@@ -195,6 +210,10 @@ def _bad_dataset_blocks(case):
         ys = np.full((2, 8), 0.5)
     elif case == "soft target_truth":
         yt[:, 1] = [0.25, 0.75]
+    elif case == "empty target_truth column":
+        yt[:, 1] = 0.0
+    elif case == "3-class target_truth":
+        yt = np.eye(3)[:, np.arange(5) % 3]
     return dict(sources=[(xs, ys)], target=xt, target_truth=yt)
 
 
@@ -205,6 +224,8 @@ def _bad_dataset_blocks(case):
     ("1-d target", "source 0 has 2 feature rows, target has 1"),
     ("soft source labels", "source 0 labels block must be one-hot"),
     ("soft target_truth", "target_truth block must be one-hot"),
+    ("empty target_truth column", "every target_truth column must have exactly one 1"),
+    ("3-class target_truth", "target_truth has 3 rows, expected 2 classes"),
 ])
 def test_dataset_rejects_a_bad_block_by_name(case, message):
     AdaptationDataset(**_bad_dataset_blocks(None))  # the valid blocks pass
@@ -294,6 +315,10 @@ def test_load_hand_written_file(tmp_path):
     ("f0,f1,label,domain\n1.0,2.0,0,0\n3.0,4.0,0,2\n", "no rows"),
     ("f0,f1,label,domain\n1.0,2.0,-1,0\n3.0,4.0,-1,1\n", "label"),
     ("f0,f1,label,domain\n1.0,2.0,0,0\n3.0,4.0,-1,1\n5.0,6.0,0,1\n", "all"),
+    ("f0,f1,label,domain\n1.0,2.0,0,-1\n", "domain must be >= 0"),
+    ("f0,f1,label,domain\n", "header but no rows"),
+    ("f0,f1,label,domain\n1.0,2.0,0,0\n3.0,4.0,-1,0\n5.0,6.0,0,1\n",
+     "row 3: source rows must be labeled"),
 ])
 def test_load_rejects_malformed_files(tmp_path, body, fragment):
     path = tmp_path / "bad.csv"

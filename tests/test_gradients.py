@@ -54,6 +54,22 @@ def test_constant_domain_block_is_stationary_zero():
     np.testing.assert_array_equal(grad, np.zeros_like(xre))
 
 
+@pytest.mark.parametrize("labels", ["hard", "soft"])
+def test_constant_label_and_domain_kernels_give_an_exact_zero(labels):
+    # a config that reads both blocks as constant makes K_Zt all ones, which
+    # centers to 0: the general path gives 0.0 and a gradient of +0.0 entries
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(3, 50))
+    y = (one_hot(rng.integers(0, 3, 50), 3) if labels == "hard"
+         else rng.dirichlet(np.ones(3), size=50).T)
+    z = one_hot(np.arange(50) % 2, 2)
+    cfgs = CondKernelConfig(KernelConfig.from_data(x), None, None)
+    value, grad = cond_objective(x, y, z, cfgs, 1e-2)
+    assert value == 0.0 and type(value) is float
+    np.testing.assert_array_equal(grad, np.zeros_like(x))
+    assert not np.any(np.signbit(grad))
+
+
 def test_constant_domain_block_gives_the_statistic_the_estimator_value():
     # cond_objective's 0 for one domain is a convention; the statistic reports
     # the estimator, Tr(R_Y S R_Xt S) > 0 at a finite eps, on both routes

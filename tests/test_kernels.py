@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import condadapt
+from condadapt import kernels, measures
 from condadapt.errors import ConfigError, DegenerateDataError, InputError, NumericalError
 from condadapt.kernels import (
     GramMatrix,
@@ -188,6 +190,18 @@ def test_gram_matrix_rejects_asymmetry():
     bad = np.array([[1.0, 0.2], [0.3, 1.0]])
     with pytest.raises(InputError):
         GramMatrix(bad)
+
+
+def test_gram_matrix_rejects_a_non_square_array():
+    with pytest.raises(InputError, match="square"):
+        GramMatrix(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("name", ["GramMatrix", "gram", "label_gram", "product_gram",
+                                  "center", "normalize", "cond"])
+def test_the_gram_layer_is_not_exported_from_the_package_root(name):
+    assert not hasattr(condadapt, name)
+    assert hasattr(measures if name == "cond" else kernels, name)
 
 
 # product_gram

@@ -36,8 +36,6 @@ from support import (
     dense_plain_null,
 )
 
-UNIT = KernelConfig(1.0)
-
 
 def random_features(seed, d=3, n=30, scale=1.0):
     rng = np.random.default_rng(seed)
@@ -416,6 +414,21 @@ def test_null_is_all_ties_when_the_shuffle_fixes_the_features(evaluator):
             assert rep.permutation_pvalue == 1.0
 
 
+@pytest.mark.parametrize("route", ["features", "grams"])
+@pytest.mark.parametrize("labels,message", [(np.arange(5), "length 5"),
+                                            (np.zeros(60, dtype=int), "labels class")])
+def test_labels_are_checked_without_permutations(route, labels, message):
+    x, y, z = chain_triple(60, 2)
+    if route == "features":
+        call = lambda: cond_from_features(x, y, z, 1e-2, labels=labels)
+    else:
+        ky = label_gram(y)
+        kxt = product_gram(gram(x, KernelConfig.from_data(x)), ky)
+        call = lambda: cond(kxt, product_gram(label_gram(z), ky), ky, 1e-2, labels=labels)
+    with pytest.raises(InputError, match=message):
+        call()
+
+
 def test_cond_rejects_labels_coarser_than_the_label_gram():
     x = random_features(4, n=12)
     classes = np.arange(12) % 3
@@ -624,9 +637,10 @@ def test_mmd_identical_samples_exact_zero():
 
 
 def test_mmd_point_masses_closed_form():
+    # the fitted sigma^2 is the mean squared distance over all four pairs, 1/2
     xa = np.array([[0.0]])
     xb = np.array([[1.0]])
-    assert mmd(xa, xb, UNIT) == pytest.approx(2.0 - 2.0 * math.exp(-1.0), rel=1e-14)
+    assert mmd(xa, xb) == pytest.approx(2.0 - 2.0 * math.exp(-2.0), rel=1e-14)
 
 
 def test_mmd_same_distribution_trend():
@@ -737,6 +751,18 @@ def test_convergence_probe_flags_bad_schedule():
                                        shift=0.0, noise_sd=0.5)
     with pytest.warns(UserWarning, match="eps"):
         convergence_probe(gen, [50, 100], epsilon_rule=lambda n: 1.0 / n)
+
+
+@pytest.mark.parametrize("sizes,rule,fragment", [
+    ([], None, "sizes"),
+    ([48, 96], lambda n: 0.0, "epsilon rule"),
+    ([48, 96], lambda n: 1.0 - n / 48, "epsilon rule"),
+])
+def test_convergence_probe_rejects_a_bad_schedule(sizes, rule, fragment):
+    gen = lambda n, seed: chain_triple(n, seed, classes=2, domains=2,
+                                       shift=0.0, noise_sd=0.5)
+    with pytest.raises(ConfigError, match=fragment):
+        convergence_probe(gen, sizes, epsilon_rule=rule)
 
 
 def test_convergence_probe_returns_requested_sizes():
@@ -888,3 +914,27 @@ def test_a_negative_permutation_count_is_a_config_error(statistic):
     assert calls[statistic](0).permutation_pvalue is None
     with pytest.raises(ConfigError, match="permutations"):
         calls[statistic](-1)
+
+
+@pytest.mark.parametrize("statistic", ["nocco", "cond", "per_class_nocco",
+                                       "cond_from_features", "a_distance"])
+def test_a_negative_seed_is_a_config_error(statistic):
+    b = statistic_blocks()
+    kx = gram(b["feature"], KernelConfig.from_data(b["feature"]))
+    ky, kz = label_gram(b["label"]), label_gram(b["domain"])
+    calls = {
+        "nocco": lambda s, p: nocco_from_features(b["feature"], b["domain"], 1e-2,
+                                                  permutations=p, seed=s),
+        "cond": lambda s, p: cond(product_gram(kx, ky), product_gram(kz, ky), ky, 1e-2,
+                                  labels=b["labels"], permutations=p, seed=s),
+        "per_class_nocco": lambda s, p: per_class_nocco_from_features(
+            b["feature"], b["domain"], b["labels"], 1e-2, permutations=p, seed=s),
+        "cond_from_features": lambda s, p: cond_from_features(
+            b["feature"], b["label"], b["domain"], 1e-2, labels=b["labels"],
+            permutations=p, seed=s),
+        "a_distance": lambda s, p: a_distance(b["source"], b["target"], split_seed=s),
+    }
+    for permutations in (0, 3):  # rejected even where no shuffle reads it
+        calls[statistic](0, permutations)
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            calls[statistic](-1, permutations)

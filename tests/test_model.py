@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condadapt.data import one_hot
-from condadapt.errors import InputError, ParseError
+from condadapt.errors import ConfigError, InputError, ParseError
 from condadapt.gradients import cond_objective
 from condadapt.model import (
     LossBreakdown,
@@ -256,6 +256,11 @@ def test_init_params_rejects_bad_sizes():
         init_params(0, 8, 4, 2)
 
 
+def test_init_params_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed"):
+        init_params(3, 8, 4, 2, seed=-1)
+
+
 def test_save_load_round_trip_bit_exact(tmp_path):
     params = init_params(3, 8, 4, 2, seed=12)
     path = tmp_path / "model.txt"
@@ -279,6 +284,27 @@ def test_load_rejects_truncated_file(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:5]) + "\n")
     with pytest.raises(ParseError, match="truncated"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("damage,fragment", [
+    ("cut after g_w1", "missing block 'g_b1'"),
+    ("rename g_b1", "expected block header for 'g_b1'"),
+    ("narrow g_w1 rows", r"block 'g_w1' has shape \(2, 3\), header says \(2, 4\)"),
+])
+def test_load_rejects_a_malformed_block(tmp_path, damage, fragment):
+    path = tmp_path / "model.txt"
+    save_params(init_params(2, 4, 3, 2, seed=17), path)
+    lines = path.read_text().splitlines()
+    assert lines[1] == "g_w1 2 4" and lines[4] == "g_b1 1 4"
+    if damage == "cut after g_w1":
+        lines = lines[:4]
+    elif damage == "rename g_b1":
+        lines[4] = "g_b9 1 4"
+    else:
+        lines[2:4] = [" ".join(ln.split()[:3]) for ln in lines[2:4]]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=fragment):
         load_params(path)
 
 

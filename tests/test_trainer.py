@@ -88,6 +88,20 @@ def test_adam_config_rejects_invalid_values_by_name(field, value):
         AdamConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [("seed", -1), ("seed", 1.0), ("hidden_units", 0),
+                                         ("hidden_units", 2.5), ("rep_dim", 0),
+                                         ("adapt_epochs", 1.5), ("pretrain_epochs", -1)])
+def test_config_rejects_a_bad_integer_by_name(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        quick_config(**{field: value})
+
+
+def test_adam_settings_are_a_fixed_constant():
+    assert TrainConfig().adam == AdamConfig()
+    with pytest.raises(TypeError):
+        TrainConfig(adam=AdamConfig())
+
+
 @pytest.mark.parametrize("where", ["source", "target"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_dataset_rejects_non_finite_values_by_name(where, value):
