@@ -165,11 +165,10 @@ def _dependence_dict(rep: measures.DependenceReport) -> dict:
     return out
 
 
-def _train_config(args, seed: int, beta1=None, beta2=None, epsilon=None) -> TrainConfig:
+def _train_config(args, seed: int, **weights) -> TrainConfig:
+    """The flags' config, with an arm's loss ``weights`` in place of the flags'."""
     return TrainConfig(
-        beta1=args.beta1 if beta1 is None else beta1,
-        beta2=args.beta2 if beta2 is None else beta2,
-        epsilon=args.epsilon if epsilon is None else epsilon,
+        **{"beta1": args.beta1, "beta2": args.beta2, "epsilon": args.epsilon, **weights},
         pretrain_epochs=args.pretrain_epochs,
         adapt_epochs=args.adapt_epochs,
         learning_rate=args.lr,
@@ -186,14 +185,14 @@ def _trial_seeds(args, parser) -> list[int]:
     return [args.seed + t for t in range(args.trials)]
 
 
-def _run_trials(args, parser, pretrained: dict, beta1=None, beta2=None, epsilon=None):
+def _run_trials(args, parser, pretrained: dict, **weights):
     """Fit once per trial seed (also the data seed, for synthetics) and collect
     accuracies; every call runs the same seeds, so its arms are paired.  Arms
     share ``pretrained`` (seed -> pretraining), which reads no loss weight."""
     results = []
     for seed in _trial_seeds(args, parser):
         ds = _dataset_from_args(args, seed)
-        cfg = _train_config(args, seed, beta1, beta2, epsilon)
+        cfg = _train_config(args, seed, **weights)
         if seed not in pretrained:
             pretrained[seed] = pretrain(ds, cfg, init_params_for(ds, cfg))
         params, _ = fit(ds, cfg, pretrained[seed])
@@ -270,8 +269,6 @@ def _alignment_stats(params, ds: data_mod.AdaptationDataset, epsilon: float) -> 
     z = ds.domain_matrix
     stats = {"rep_nocco": measures.nocco_from_features(xre, z, epsilon).statistic}
     y = ds.pseudo_labels if ds.target_truth is None else ds.target_truth
-    if y is None:
-        return stats
     y = np.hstack([ds.source_labels, y])
     stats["rep_per_class_nocco"] = measures.per_class_nocco_from_features(
         xre, z, y.argmax(axis=0), epsilon).statistic

@@ -108,8 +108,10 @@ class SyntheticSpec:
 
     ``shift`` is the target's mean offset for blobs and chains, a scalar s
     read as (s, 0) or a 2-vector.  For the rotated moons (2 classes) it is
-    the target's rotation angle in radians, a scalar.  Every value must be
-    finite; a bad spec is a ConfigError naming the field when it is built.
+    the target's rotation angle in radians, a scalar.  ``class_spacing`` sets
+    the blobs' class means; the chain and the moons keep the default.  ``kind``
+    must be a ``SyntheticKind`` and every value finite; a bad spec is a
+    ConfigError naming the field when it is built.
     """
 
     kind: SyntheticKind
@@ -122,11 +124,17 @@ class SyntheticSpec:
     class_spacing: float = 6.0  # neighbour mean separation in noise-sd units
 
     def __post_init__(self):
+        if not isinstance(self.kind, SyntheticKind):
+            raise ConfigError(f"kind must be a SyntheticKind, got {self.kind!r}")
         for name, low in (("classes", 2), ("samples_per_class_per_domain", 2),
                           ("num_sources", 1), ("seed", 0)):
             check_integer(name, getattr(self, name), low)
         for name in ("noise_sd", "class_spacing"):
             check_positive(name, getattr(self, name))
+        if (self.kind is not SyntheticKind.SHIFTED_BLOBS
+                and self.class_spacing != SyntheticSpec.class_spacing):
+            raise ConfigError(f"class_spacing is a shifted-blobs setting, which "
+                              f"{self.kind.value} ignores; got {self.class_spacing!r}")
         if self.kind is SyntheticKind.ROTATED_MOONS:
             if self.classes != 2:
                 raise ConfigError("rotated moons is a 2-class family")
@@ -155,7 +163,15 @@ def _class_means(classes: int, noise_sd: float, spacing: float = 6.0) -> np.ndar
 
 
 def one_hot(labels, classes: int) -> np.ndarray:
+    """(classes, n) indicator block of a vector of n labels, each an integer in
+    [0, classes); otherwise an InputError names the bad label or type."""
     labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.dtype.kind not in "iu":
+        raise InputError(f"labels must be a vector of integers in [0, {classes}), "
+                         f"got a {labels.ndim}-d {labels.dtype} array")
+    outside = (labels < 0) | (labels >= classes)
+    if np.any(outside):
+        raise InputError(f"label {labels[outside][0]} lies outside [0, {classes})")
     out = np.zeros((classes, labels.shape[0]))
     out[labels, np.arange(labels.shape[0])] = 1.0
     return out
@@ -228,12 +244,16 @@ def chain_triple(n: int, seed: int, *, classes: int = 3, domains: int = 2,
     class is domain-free: features are conditionally independent of the
     domain given the class.  A non-zero shift adds the offset scaled by the
     domain index to every class mean, breaking that conditional independence.
+    ``n``, ``classes``, ``domains`` and ``seed`` must be integers and ``noise_sd``
+    positive and finite; otherwise a ConfigError names the argument.
     """
+    for name, value in (("n", n), ("classes", classes), ("domains", domains), ("seed", seed)):
+        check_integer(name, value)
+    check_positive("noise_sd", noise_sd)
     if n < 2 * domains:
         raise ConfigError(f"need at least {2 * domains} samples")
     if classes < 2 or domains < 2:
         raise ConfigError("chain needs at least 2 classes and 2 domains")
-    check_integer("seed", seed)
     rng = np.random.default_rng(seed)
     means = _class_means(classes, noise_sd)
     shift_vec = _shift_vector(shift)

@@ -127,7 +127,7 @@ def _null_classes(labels, rows: np.ndarray, what: str) -> list[np.ndarray]:
     classes = _class_indices(labels, rows.shape[0], "labels")
     for c, idx in classes.items():
         if not np.all(rows[idx] == rows[idx[0]]):
-            raise InputError(f"labels class {c!r} holds samples with different {what}, "
+            raise InputError(f"labels class {c} holds samples with different {what}, "
                              "so shuffles within it do not fix K_Y")
     return list(classes.values())
 
@@ -343,17 +343,16 @@ def mmd(xa, xb) -> float:
     return float(k[:na, :na].mean() + k[na:, na:].mean() - 2.0 * k[:na, na:].mean())
 
 
-def _adam_logistic(x_train: np.ndarray, y_train: np.ndarray,
-                   steps: int = 200, lr: float = 0.1) -> tuple[np.ndarray, float]:
-    """Linear logistic probe trained with full-batch Adam steps."""
+def _adam_logistic(x_train: np.ndarray, y_train: np.ndarray) -> tuple[np.ndarray, float]:
+    """Linear logistic probe trained with 200 full-batch Adam steps at rate 0.1."""
     d, n = x_train.shape
     w = np.zeros(d + 1)
     weights = SimpleNamespace(arrays=lambda: [w])  # what ``adam_step`` updates
     state, cfg = AdamState.for_params(weights), AdamConfig()
     xb = np.vstack([x_train, np.ones((1, n))])
-    for _ in range(steps):
+    for _ in range(200):
         p = 1.0 / (1.0 + np.exp(-(w @ xb)))
-        adam_step(weights, [xb @ (p - y_train) / n], state, lr, cfg)
+        adam_step(weights, [xb @ (p - y_train) / n], state, 0.1, cfg)
     return w[:-1], w[-1]
 
 

@@ -45,16 +45,11 @@ class PseudoLabelMode(Enum):
 
 @dataclass(frozen=True)
 class AdamConfig:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    """The optimizer's fixed moment decays and denominator floor; takes no arguments."""
 
-    def __post_init__(self):
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and 0.0 <= value < 1.0):
-                raise ConfigError(f"AdamConfig.{name} must lie in [0, 1), got {value!r}")
-        check_positive("AdamConfig.eps", self.eps)
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
 
 
 @dataclass(frozen=True)
@@ -72,6 +67,9 @@ class TrainConfig:
     rep_dim: int = 512
 
     def __post_init__(self):
+        if not isinstance(self.pseudo_label_mode, PseudoLabelMode):
+            raise ConfigError(f"pseudo_label_mode must be a PseudoLabelMode, "
+                              f"got {self.pseudo_label_mode!r}")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):

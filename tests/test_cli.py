@@ -146,6 +146,22 @@ def test_measure_rejects_unlabeled_target_for_cond(tmp_path, capsys):
     assert "unlabeled" in err
 
 
+def test_measure_per_class_nocco_reports_skipped_classes(tmp_path, capsys):
+    # class 2 occurs in the source domain only, so the per-class statistic skips it
+    rng = np.random.default_rng(1)
+    labels_s, labels_t = np.arange(30) % 3, np.arange(20) % 2
+    ds = AdaptationDataset(sources=[(rng.normal(size=(2, 30)), data.one_hot(labels_s, 3))],
+                           target=rng.normal(size=(2, 20)),
+                           target_truth=data.one_hot(labels_t, 3))
+    path = tmp_path / "one-domain-class.csv"
+    save_features(ds, path)
+    with pytest.warns(UserWarning, match="skipped 1 class"):
+        rc, report, err = run(capsys, ["measure", "--input", str(path),
+                                       "--stat", "per-class-nocco"])
+    assert rc == 0, err
+    assert report["results"]["skipped_classes"] == 1
+
+
 def test_exit_code_1_on_missing_file(capsys):
     rc, report, err = run(capsys, ["measure", "--input", "/nonexistent/x.csv",
                                    "--stat", "nocco"])
@@ -202,10 +218,12 @@ def test_exit_code_2_on_bad_arguments(capsys):
         main(["train"] + FAST_TRAIN + ["--trials", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep"] + FAST_TRAIN + ["--beta1-grid", ",", "--beta2-grid", "0"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    for grid in (",", "a,b"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep"] + FAST_TRAIN + ["--beta1-grid", grid, "--beta2-grid", "0"])
+        assert exc.value.code == 2
+        assert ("--beta1-grid must be a non-empty comma-separated list of numbers"
+                in capsys.readouterr().err)
 
 
 # train
@@ -313,6 +331,25 @@ def test_single_cell_sweep_matches_train(capsys):
     assert rc == 0
     row = sweep_rep["results"]["rows"][0]
     assert row["accuracy_mean"] == train_rep["results"]["accuracy_mean"]
+
+
+def test_epsilon_grid_cell_matches_train_with_that_epsilon(tmp_path, capsys):
+    # each row's network is the one train fits with the row's epsilon on the
+    # same seed: its accuracy and representation statistics agree bit for bit
+    common = FAST_TRAIN + ["--seed", "2", "--beta1", "1", "--beta2", "0.005"]
+    rc, sweep_rep, _ = run(capsys, ["sweep"] + common + ["--beta1-grid", "1",
+                                                          "--beta2-grid", "0.005",
+                                                          "--epsilon-grid", "1e-4,1e-2"])
+    assert rc == 0
+    ds = cli._dataset_from_args(cli.build_parser().parse_args(["train"] + common), 2)
+    for row in sweep_rep["results"]["rows"]:
+        path = tmp_path / f"model-{row['epsilon']}.txt"
+        rc, train_rep, _ = run(capsys, ["train"] + common + ["--epsilon", str(row["epsilon"]),
+                                                             "--model-out", str(path)])
+        assert rc == 0
+        assert row["accuracy_mean"] == train_rep["results"]["accuracy_mean"]
+        stats = cli._alignment_stats(load_params(path), ds, row["epsilon"])
+        assert stats == {k: row[k] for k in stats}
 
 
 def test_sweep_cells_are_paired_on_the_same_trial_seeds(capsys):

@@ -14,6 +14,7 @@ from condadapt.data import (
     make_conditional_chain,
     make_rotated_moons,
     make_shifted_blobs,
+    one_hot,
     save_features,
 )
 from condadapt.errors import ConfigError, InputError, ParseError
@@ -60,6 +61,22 @@ def test_spec_rejects_a_non_finite_value_by_name(kind, name, value):
 def test_spec_rejects_a_bad_integer_by_name(kind, name, value):
     with pytest.raises(ConfigError, match=f"{name} must be an integer"):
         SyntheticSpec(kind=kind, **{name: value})
+
+
+@pytest.mark.parametrize("kind", ["shifted-blobs", "conditional-chain"])
+def test_spec_rejects_a_kind_that_is_not_the_enum(kind):
+    # a string kind used to fall through to the chain generator
+    with pytest.raises(ConfigError, match="kind"):
+        SyntheticSpec(kind=kind)
+
+
+@pytest.mark.parametrize("kind", [SyntheticKind.CONDITIONAL_CHAIN, SyntheticKind.ROTATED_MOONS])
+def test_class_spacing_is_a_shifted_blobs_setting(kind):
+    # the chain and the moons generate the same data at any spacing
+    with pytest.raises(ConfigError, match="class_spacing"):
+        SyntheticSpec(kind=kind, class_spacing=2.0)
+    SyntheticSpec(kind=kind, class_spacing=6.0)
+    SyntheticSpec(kind=SyntheticKind.SHIFTED_BLOBS, class_spacing=2.0)
 
 
 def test_chain_triple_rejects_a_negative_seed():
@@ -170,6 +187,25 @@ def test_chain_validation():
         chain_triple(3, seed=0, domains=2)
     with pytest.raises(ConfigError):
         chain_triple(100, seed=0, classes=1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: one_hot([-1, 0], 2), InputError, r"label -1 lies outside \[0, 2\)"),
+    (lambda: one_hot([0, 2], 2), InputError, r"label 2 lies outside \[0, 2\)"),
+    (lambda: one_hot([0.0, 1.5], 2), InputError, r"integers in \[0, 2\), got a 1-d float64"),
+    (lambda: one_hot([True, False], 2), InputError, "got a 1-d bool"),
+    (lambda: one_hot(1, 2), InputError, "got a 0-d"),
+    (lambda: chain_triple(10.5, 0), ConfigError, "n must be an integer"),
+    (lambda: chain_triple(60, 0, classes=2.5), ConfigError, "classes must be an integer"),
+    (lambda: chain_triple(60, 0, domains=2.0), ConfigError, "domains must be an integer"),
+    (lambda: chain_triple(60, 0, noise_sd=float("nan")), ConfigError, "noise_sd must be"),
+    (lambda: chain_triple(60, 0, noise_sd=-0.5), ConfigError, "noise_sd must be"),
+], ids=["one-hot-negative", "one-hot-too-large", "one-hot-float", "one-hot-bool",
+        "one-hot-scalar", "chain-n", "chain-classes", "chain-domains", "chain-nan-noise",
+        "chain-negative-noise"])
+def test_data_entry_points_name_a_bad_argument(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 @pytest.mark.parametrize("shift", [(1.0, 2.0, 3.0), [[1.0], [2.0]]])

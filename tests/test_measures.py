@@ -416,7 +416,7 @@ def test_null_is_all_ties_when_the_shuffle_fixes_the_features(evaluator):
 
 @pytest.mark.parametrize("route", ["features", "grams"])
 @pytest.mark.parametrize("labels,message", [(np.arange(5), "length 5"),
-                                            (np.zeros(60, dtype=int), "labels class")])
+                                            (np.zeros(60, dtype=int), "labels class 0 holds")])
 def test_labels_are_checked_without_permutations(route, labels, message):
     x, y, z = chain_triple(60, 2)
     if route == "features":

@@ -81,11 +81,19 @@ def test_config_rejects_non_finite_values_by_name(field, value):
 
 
 @pytest.mark.parametrize("field,value", [("beta1", float("nan")), ("beta1", 1.0),
-                                         ("beta2", -0.1), ("beta2", float("inf")),
-                                         ("eps", -1.0), ("eps", 0.0), ("eps", float("nan"))])
+                                         ("beta1", 0.5), ("beta2", -0.1),
+                                         ("beta2", float("inf")), ("eps", -1.0),
+                                         ("eps", 0.0), ("eps", float("nan"))])
 def test_adam_config_rejects_invalid_values_by_name(field, value):
-    with pytest.raises(ConfigError, match=f"AdamConfig.{field}"):
+    # the settings are constants: any value, valid or not, is an unexpected argument
+    with pytest.raises(TypeError, match=field):
         AdamConfig(**{field: value})
+
+
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+def test_config_rejects_a_pseudo_label_mode_that_is_not_the_enum(mode):
+    with pytest.raises(ConfigError, match="pseudo_label_mode"):
+        quick_config(pseudo_label_mode=mode)
 
 
 @pytest.mark.parametrize("field,value", [("seed", -1), ("seed", 1.0), ("hidden_units", 0),
