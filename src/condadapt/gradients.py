@@ -22,10 +22,13 @@ B = (K_Xt + ne I)^{-1} = L^{-T} L^{-1} and r = L^{-1} 1 / |L^{-1} 1|,
 
     F = (I - r r^T) L^{-1} V,  P = L^{-T} F = BV - (B1)(1^T BV) / (1^T B1).
 
-``regularized_factor`` gives L, factoring a copy of the exactly symmetric
-K_Xt in place as its Fortran-ordered transpose, and r; ``cond_values``
-gives F and the values for each (n, c - 1) slice of an (n, b, c - 1) stack
-of V's, for this objective and the permutation null alike.  The value and
+``regularized_factor`` gives L, factoring the exactly symmetric K_Xt it
+is given in place as its Fortran-ordered transpose, and r;
+``projected_solve`` gives F and ``cond_values`` the values for each
+(n, c - 1) slice of an (n, b, c - 1) stack of V's.  The permutation null
+solves only s = c - G of those columns per replicate: its shuffles keep
+each sample in its label group (cells with equal M_Y rows, G of them), so
+each group's column sum is fixed.  The value and
 the chain to the features are
 
     L         = Tr(Q W) - ne * sum(F Q * F)      (elementwise)
@@ -52,9 +55,11 @@ from .kernels import (
     KernelConfig,
     as_block,
     check_positive,
+    distinct_columns,
     is_constant_block,
     pairwise_sq_dists,
     ridged_cho_factor,
+    row_blocks,
 )
 
 
@@ -152,28 +157,34 @@ def cond_cells(xre: np.ndarray, y: np.ndarray, z: np.ndarray, cfgs: CondKernelCo
     np.exp(kxt, out=kxt)
     if not np.all(np.isfinite(kxt)):
         raise NumericalError("feature kernel matrix has non-finite entries")
-    cells, cell = np.unique(np.vstack([y, z]), axis=1, return_inverse=True)
-    cell = cell.ravel()
-    my = _cell_gram(cells[:y.shape[0]], cfgs.y)
-    mzt = _cell_gram(cells[y.shape[0]:], cfgs.z) * my
+    yz = np.vstack([y, z])
+    first, cell = distinct_columns(yz)
+    my = _cell_gram(yz[:y.shape[0], first], cfgs.y)
+    mzt = _cell_gram(yz[y.shape[0]:, first], cfgs.z) * my
     if cfgs.y is None:  # M_Y is all ones
         return kxt, cell, None, mzt
-    kxt *= my[cell][:, cell]
+    for rows in row_blocks(*kxt.shape):
+        kxt[rows] *= my[cell[rows]][:, cell]
     return kxt, cell, my, mzt
 
 
 def regularized_factor(kxt: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
-    low, _ = ridged_cho_factor(kxt.copy().T, ridge)
+    low, _ = ridged_cho_factor(kxt.T, ridge)
     r = scipy.linalg.solve_triangular(low, np.ones(low.shape[0]), lower=True,
                                       check_finite=False)
     return low, r / np.linalg.norm(r)
 
 
-def cond_values(low: np.ndarray, r: np.ndarray, vs: np.ndarray, q: np.ndarray,
-                w: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+def projected_solve(low: np.ndarray, r: np.ndarray, vs: np.ndarray) -> np.ndarray:
     f = scipy.linalg.solve_triangular(low, vs.reshape(vs.shape[0], -1), lower=True,
                                       check_finite=False).reshape(vs.shape)
     f -= r[:, None, None] * np.einsum("n,nbi->bi", r, f)
+    return f
+
+
+def cond_values(low: np.ndarray, r: np.ndarray, vs: np.ndarray, q: np.ndarray,
+                w: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    f = projected_solve(low, r, vs)
     # one product per slice over its n rows, on f's own strides: f @ q on the
     # (n, b, c - 1) stack would run n small ones, a 2-D reshape would copy f
     fq = np.matmul(f.transpose(1, 0, 2), q)
@@ -204,7 +215,7 @@ def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
     kxt, cell, my, mzt = cond_cells(xre, y, z, cfgs)
     ridge = n * epsilon
     v, w, q, _ = cell_terms(cell, my, mzt, ridge)
-    low, r = regularized_factor(kxt, ridge)
+    low, r = regularized_factor(kxt.copy(), ridge)  # E reads K_Xt below
     values, f = cond_values(low, r, v[:, None], q, w, ridge)
     p = scipy.linalg.solve_triangular(low, f[:, 0], trans="T", lower=True,
                                       check_finite=False)

@@ -15,6 +15,10 @@ import scipy.linalg
 
 from .errors import ConfigError, DegenerateDataError, InputError, NumericalError
 
+# Elements per row block of an n x n pass, so its temporaries stay this size
+# instead of a second n x n array
+_BLOCK_ELEMENTS = 16384
+
 
 @dataclass(frozen=True)
 class KernelConfig:
@@ -59,8 +63,9 @@ def check_positive(name: str, value: float):
 
 
 def check_integer(name: str, value, low: int = 0):
-    """ConfigError naming ``name`` unless ``value`` is an integer of at least ``low``."""
-    if not (isinstance(value, (int, np.integer)) and value >= low):
+    """ConfigError naming ``name`` unless ``value`` is a non-bool integer >= ``low``."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= low):
         raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
@@ -82,20 +87,28 @@ def as_block(m, name: str, n: int | None = None) -> np.ndarray:
     return np.ascontiguousarray(m)
 
 
+def row_blocks(rows: int, cols: int):
+    """Slices covering range(rows), each of at most _BLOCK_ELEMENTS // cols rows."""
+    step = max(1, _BLOCK_ELEMENTS // max(1, cols))
+    return (slice(i, i + step) for i in range(0, rows, step))
+
+
 def pairwise_sq_dists(x) -> np.ndarray:
     """All-pairs squared Euclidean distances of x's columns.
 
     numpy evaluates ``x.T @ x`` for the C-ordered x with a symmetric rank-k
     update (one triangle computed, then mirrored), so (sq_i + sq_j) - 2 g_ij
     is exactly symmetric and its bits do not depend on the caller's layout.
+    It is written into the product's own buffer, one row block at a time.
     The diagonal is set to exactly zero.
     """
     x = as_block(x, "data")
     sq = np.einsum("ij,ij->j", x, x)
-    g = x.T @ x
-    g *= 2.0
-    d2 = np.add.outer(sq, sq)
-    d2 -= g
+    d2 = x.T @ x
+    for rows in row_blocks(*d2.shape):
+        g = d2[rows]
+        g *= 2.0
+        np.subtract(np.add.outer(sq[rows], sq), g, out=g)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2
@@ -105,6 +118,20 @@ def is_constant_block(m) -> bool:
     """True when every column of m equals the first, compared exactly."""
     m = as_block(m, "data")
     return bool(np.all(m == m[:, :1]))
+
+
+def distinct_columns(m) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each distinct column of the 2-d float array m, in
+    lexicographic order (first row first), and each column's number among
+    them: ``np.unique(m, axis=1, return_index=True, return_inverse=True)``'s,
+    from one stable lexsort and a compare of neighbours."""
+    order = np.lexsort(m[::-1])
+    ordered = m[:, order]
+    new = np.ones(order.shape[0], dtype=bool)
+    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=new[1:])
+    number = np.empty_like(order)
+    number[order] = np.cumsum(new) - 1
+    return order[new], number
 
 
 def mean_sq_dist_bandwidth(x) -> float:
@@ -135,9 +162,9 @@ def gram(x, cfg: KernelConfig) -> GramMatrix:
     """
     x = as_block(x, "data")
     k = np.exp(-pairwise_sq_dists(x) / cfg.bandwidth_sq)
-    _, first, cell = np.unique(x, axis=1, return_index=True, return_inverse=True)
+    first, cell = distinct_columns(x)
     if first.shape[0] < x.shape[1]:
-        rows = first[cell.ravel()]
+        rows = first[cell]
         k = k[np.ix_(rows, rows)]
     return GramMatrix(k)
 

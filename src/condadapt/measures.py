@@ -25,11 +25,17 @@ objective does, one factor of the uncentered K_Xt + n*eps*I.
 
 A shuffle within the label classes only permutes the rows of V, so a
 replicate needs only F_pi^T F_pi, with F as in ``gradients`` for the
-shuffled V.  A cost model in n, c and the replicate count picks one of two
-exact evaluators: the batched triangular solve of ``gradients.cond_values``,
-O(n^2 (c-1)) per replicate, or the c x c block sums over the permuted cell
-pairs of B - (B1)(B1)^T / (1^T B1), B = (K_Xt + n*eps*I)^{-1}, whose rows
-and columns sum to zero: one ``np.bincount``, O(n^2) per replicate once
+shuffled V.  It also keeps every sample in its label group, the cells with
+equal M_Y rows (one group for a constant label kernel): each class shares
+one label column or K_Y row, as ``_null_classes`` checks.  So the sum of
+V's columns over a group without the dropped cell is the same in every
+replicate; with G groups, a replicate solves only s = c - G columns.  A
+cost model in n, c, s and the replicate count picks one of two exact
+evaluators: the batched triangular solve, O(n^2 s) per replicate (the
+statistic is ``gradients.cond_values`` over all c - 1 columns, the
+objective's call), or the c x c block sums over the permuted cell pairs of
+B - (B1)(B1)^T / (1^T B1), B = (K_Xt + n*eps*I)^{-1}, whose rows and
+columns sum to zero: one ``np.bincount``, O(n^2) per replicate once
 formed.  A shuffle that keeps every sample in its cell, or within rounding
 of the statistic leaves the feature columns or K_Zt unchanged entry for
 entry, is an exact tie and gets the statistic's value.
@@ -47,20 +53,22 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, DegenerateDataError, InputError, NumericalError
-from .gradients import CondKernelConfig, cell_terms, cond_cells, cond_values, regularized_factor
-from .kernels import (GramMatrix, KernelConfig, as_block, check_integer, check_positive, gram,
-                      is_constant_block)
+from .gradients import (CondKernelConfig, cell_terms, cond_cells, cond_values, projected_solve,
+                        regularized_factor)
+from .kernels import (GramMatrix, KernelConfig, as_block, check_integer, check_positive,
+                      distinct_columns, gram, is_constant_block)
 from .trainer import AdamConfig, AdamState, adam_step
 
 # Right-hand-side columns per block of replicates (at least one replicate),
 # so the null's workspace stays within n times this.
 _BLOCK_COLUMNS = 256
-# Evaluator choice.  Per evaluation (each moved replicate and the statistic)
-# the triangular solve costs about n (c - 1) (n + 2 (c - 1)) flops, the solve
-# and the product with Q.  Block sums cost about n^3 once (dpotri's 2n^3/3)
-# and n^2 bincount entries per evaluation, each as slow as this many flops of
-# the solve.  Fitted with one BLAS thread (OpenBLAS 0.3.31, 2-vCPU Intel Xeon)
-# over n = 100-1000, c = 2-n and 1-200 permutations, with B centred then: the
+# Evaluator choice.  The triangular solve costs about n s (n + 2 s) flops per
+# evaluation of s columns, the solve and the product with Q: s = c - 1 for
+# the statistic and s = c - G for each moved replicate, G label groups.
+# Block sums cost about n^3 once (dpotri's 2n^3/3) and n^2 bincount entries
+# per evaluation, each as slow as this many flops of the solve.  Fitted with
+# one BLAS thread (OpenBLAS 0.3.31, 2-vCPU Intel Xeon) over n = 100-1000,
+# c = 2-n and 1-200 permutations, with B centred and s = c - 1 then: the
 # chosen evaluator was never more than 1.21 times slower than the faster one.
 _BINCOUNT_FLOPS = 48
 # A replicate whose value lies this close to the statistic (relative to the
@@ -154,12 +162,42 @@ def _same_domain_gram(cell: np.ndarray, perm: np.ndarray, mzt: np.ndarray) -> bo
     return bool(np.array_equal(mzt[np.ix_(src, src)], mzt[np.ix_(dst, dst)]))
 
 
+def _moved_columns(low: np.ndarray, r: np.ndarray, v: np.ndarray, q: np.ndarray,
+                   base: float, ridge: float, group: np.ndarray,
+                   fixed: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Replicate values that solve only V's moved columns.
+
+    ``group`` gives the label group of each of V's columns.  Column
+    ``fixed[g]`` is replaced by the sum of V's columns over its group, which
+    no within-class shuffle changes: V = V' T, so sum(F Q * F) = sum(F' Q' * F')
+    with Q' = T Q T^T.  The fixed columns' F' = Psi is solved once; with the
+    moved ones F_m per replicate, sum(F' Q' * F') =
+    sum(F_m (F_m Q'_mm + 2 Psi Q'_fm)) + sum(Psi Q'_ff * Psi).
+    """
+    member = (group[:, None] == group[fixed]).astype(float)
+    t = np.eye(q.shape[0])
+    t[:, fixed] = 2.0 * t[:, fixed] - member
+    qt = t @ q @ t.T
+    mov = np.delete(np.arange(q.shape[0]), fixed)
+    psi = projected_solve(low, r, (v @ member)[:, None])[:, 0]
+    cross = 2.0 * (psi @ qt[np.ix_(fixed, mov)])
+    const = base - ridge * np.sum((psi @ qt[np.ix_(fixed, fixed)]) * psi)
+    q_mm, v_m = qt[np.ix_(mov, mov)], v[:, mov]
+
+    def values_of(ps: np.ndarray) -> np.ndarray:
+        f = projected_solve(low, r, v_m[ps])
+        fq = np.matmul(f.transpose(1, 0, 2), q_mm)
+        fq += cross
+        return const - ridge * np.einsum("bni,nbi->b", fq, f)
+    return values_of
+
+
 def _null_core(kxt: np.ndarray, cell: np.ndarray, my: np.ndarray | None,
                mzt: np.ndarray, epsilon: float, perms: np.ndarray,
                x: np.ndarray) -> tuple[float, np.ndarray]:
     """Statistic and one replicate value per column of ``perms`` from K_Xt, the
     cells with their Grams (as ``gradients.cond_cells`` returns them) and the
-    feature block or K_Xt ``x``, the statistic from its replicates' evaluator."""
+    feature block or K_Xt ``x``.  K_Xt is factored in place."""
     n, c = cell.shape[0], mzt.shape[0]
     ridge = n * epsilon
     v, w, q, keep = cell_terms(cell, my, mzt, ridge)
@@ -167,8 +205,15 @@ def _null_core(kxt: np.ndarray, cell: np.ndarray, my: np.ndarray | None,
     base = float(np.sum(q * w))
     # a shuffle that keeps every sample in its cell fixes K_Zt: a tie
     moved = np.flatnonzero(np.any(cell[perms] != cell[:, None], axis=0))
+    # label groups: for each one without the dropped cell, one column is fixed
+    group = np.zeros(c, dtype=np.intp) if my is None else distinct_columns(my)[1]
+    kept = group[keep]
+    first = np.unique(kept, return_index=True)[1]
+    fixed = first[kept[first] != np.delete(group, keep)[0]]
+    width = c - 1 - fixed.shape[0]
     evals = moved.shape[0] + 1
-    if n ** 3 + evals * _BINCOUNT_FLOPS * n * n < evals * (c - 1) * (n + 2 * (c - 1)) * n:
+    solve_flops = n * ((c - 1) * (n + 2 * (c - 1)) + moved.shape[0] * width * (n + 2 * width))
+    if n ** 3 + evals * _BINCOUNT_FLOPS * n * n < solve_flops:
         # block sums of B - (B1)(B1)^T / (1^T B1) over cell pairs
         inv, info = scipy.linalg.lapack.dpotri(low, lower=1, overwrite_c=1)
         if info != 0:
@@ -184,13 +229,18 @@ def _null_core(kxt: np.ndarray, cell: np.ndarray, my: np.ndarray | None,
             sums = [np.bincount(((cp * c)[:, None] + cp).ravel(), weights=b.ravel(),
                                 minlength=c * c) for cp in cell[ps.T]]
             return base - ridge * (np.array(sums) @ qc.ravel())
+        stat = float(values_of(np.arange(n)[:, None])[0])
+        width = c - 1  # replicates per block as for a solve of all c - 1 columns
     else:
-        def values_of(ps: np.ndarray) -> np.ndarray:
-            return cond_values(low, r, v[ps], q, w, ridge)[0]
+        stat = float(cond_values(low, r, v[:, None], q, w, ridge)[0][0])
+        if fixed.shape[0]:
+            values_of = _moved_columns(low, r, v, q, base, ridge, kept, fixed)
+        else:
+            def values_of(ps: np.ndarray) -> np.ndarray:
+                return cond_values(low, r, v[ps], q, w, ridge)[0]
 
-    stat = float(values_of(np.arange(n)[:, None])[0])
     values = np.full(perms.shape[1], stat)
-    per_block = max(1, _BLOCK_COLUMNS // max(1, c - 1))
+    per_block = max(1, _BLOCK_COLUMNS // max(1, width))
     for start in range(0, moved.shape[0], per_block):
         js = moved[start:start + per_block]
         values[js] = values_of(perms[:, js])
@@ -228,7 +278,7 @@ def cond(kxt: GramMatrix, kzt: GramMatrix, ky: GramMatrix, epsilon: float, *,
                      for r in np.hstack([ky.entries, kzt.entries])], dtype=np.intp)
     first = np.unique(cell, return_index=True)[1]
     my = None if is_constant_block(ky.entries) else ky.entries[np.ix_(first, first)]
-    stat, null = _null_core(kxt.entries, cell, my, kzt.entries[np.ix_(first, first)],
+    stat, null = _null_core(kxt.entries.copy(), cell, my, kzt.entries[np.ix_(first, first)],
                             epsilon, _shuffles(classes, ky.n, permutations, seed),
                             kxt.entries)
     return DependenceReport(stat, StatKind.COND, ky.n, float(epsilon), _pvalue(stat, null))

@@ -1,9 +1,12 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from condadapt import kernels
 from condadapt.data import chain_triple, one_hot
 from condadapt.errors import ConfigError, InputError
 from condadapt.gradients import (
@@ -215,6 +218,22 @@ def test_cond_cells_builds_the_plain_extended_gram(labels):
                 * my_cells[np.ix_(cell, cell)])
     assert (my is None) == (labels == "constant")
     assert kxt.tobytes() == expected.tobytes()
+
+
+def test_row_blocks_keep_the_bits_of_the_whole_array_passes():
+    # distances and the M_Y product run in row blocks; blocks of one, two and
+    # a ragged number of rows give the bits of one block over all rows
+    rng = np.random.default_rng(15)
+    xre = rng.normal(size=(4, 37))
+    y = one_hot(rng.integers(0, 3, size=37), 3)
+    z = one_hot(rng.integers(0, 2, size=37), 2)
+    cfgs = CondKernelConfig.resolve(xre, y, z)
+    runs = []
+    for elements in (1, 74, 37 * 5 + 3, 10 ** 6):
+        with patch.object(kernels, "_BLOCK_ELEMENTS", elements):
+            runs.append((pairwise_sq_dists(xre).tobytes(),
+                         cond_cells(xre, y, z, cfgs)[0].tobytes()))
+    assert all(run == runs[0] for run in runs)
 
 
 @pytest.mark.parametrize("labels", ["hard", "soft"])

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 import condadapt
 from condadapt import kernels, measures
+from condadapt.data import chain_triple
 from condadapt.errors import ConfigError, DegenerateDataError, InputError, NumericalError
 from condadapt.kernels import (
     GramMatrix,
     KernelConfig,
     center,
+    distinct_columns,
     gram,
     label_gram,
     mean_sq_dist_bandwidth,
@@ -19,6 +21,7 @@ from condadapt.kernels import (
     pairwise_sq_dists,
     product_gram,
 )
+from condadapt.trainer import TrainConfig
 
 UNIT = KernelConfig(1.0)
 
@@ -371,3 +374,40 @@ def test_label_gram_gives_equal_columns_equal_rows():
         np.testing.assert_allclose(k, gram(y, KernelConfig.from_data(y)).entries,
                                    rtol=1e-14, atol=1e-15)
         assert np.array_equal(k, k.T)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: TrainConfig(seed=True, hidden_units=True), "seed"),
+    (lambda: TrainConfig(hidden_units=True), "hidden_units"),
+    (lambda: TrainConfig(seed=np.True_), "seed"),
+    (lambda: chain_triple(60, True), "seed"),
+    (lambda: chain_triple(True, 0), "n"),
+    (lambda: measures.nocco_from_features(np.eye(4), np.eye(4), 1e-2, permutations=True),
+     "permutations"),
+], ids=["config-seed-and-units", "config-units", "config-numpy-bool", "chain-seed",
+        "chain-n", "permutations"])
+def test_a_bool_is_not_an_integer(call, name):
+    # bool subclasses int, so True would pass as 1
+    with pytest.raises(ConfigError, match=f"{name} must be an integer >= \\d+, got (np\\.)?True"):
+        call()
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 10_000), rows=st.integers(1, 4), n=st.integers(1, 40),
+       kind=st.sampled_from(["signed-zeros", "soft", "repeated-soft"]))
+def test_distinct_columns_matches_np_unique(seed, rows, n, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "signed-zeros":  # columns that differ only by -0.0 and 0.0 are equal
+        m = rng.integers(-1, 2, size=(rows, n)) * rng.choice([1.0, 0.5], size=(rows, n))
+        m[m == 0.0] = rng.choice([0.0, -0.0], size=int(np.count_nonzero(m == 0.0)))
+    else:  # softmax label columns, each its own or drawn from a few
+        logits = rng.normal(size=(rows, n if kind == "soft" else 3))
+        m = np.exp(logits) / np.exp(logits).sum(axis=0)
+        if kind == "repeated-soft":
+            m = m[:, rng.integers(0, 3, size=n)]
+    first, number = distinct_columns(m)
+    cells, ref_first, ref_number = np.unique(m, axis=1, return_index=True,
+                                             return_inverse=True)
+    assert np.array_equal(first, ref_first)
+    assert np.array_equal(number, ref_number.ravel())
+    assert np.array_equal(m[:, first], cells)

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from condadapt import measures
 from condadapt.data import chain_triple, one_hot
 from condadapt.errors import ConfigError, DegenerateDataError, InputError, NumericalError
-from condadapt.gradients import cond_objective
+from condadapt.gradients import cell_terms, cond_objective, cond_values, regularized_factor
 from condadapt.kernels import (
     GramMatrix,
     KernelConfig,
+    distinct_columns,
     gram,
     label_gram,
     product_gram,
@@ -412,6 +413,93 @@ def test_null_is_all_ties_when_the_shuffle_fixes_the_features(evaluator):
             rep = per_class_nocco_from_features(x, z, labels, 1e-2, permutations=50,
                                                 seed=seed)
             assert rep.permutation_pvalue == 1.0
+
+
+def null_layout(layout, rng, n):
+    """Features, label classes and domain block of one label-group layout."""
+    x = rng.normal(size=(2, n))
+    labels = rng.integers(0, 3, size=n)
+    domains = rng.integers(0, 4 if layout == "four-domains" else 2, size=n)
+    if layout == "single-cell-groups":  # classes 0 and 1 each in one domain
+        domains = np.where(labels < 2, labels, domains)
+    elif layout == "dropped-group":
+        # class 0's domain-0 cell is the largest and class 0 has a second cell
+        labels = np.where(np.arange(n) < n // 2, 0, 1 + np.arange(n) % 2)
+        domains[:n // 2] = np.arange(n // 2) == 0
+    z = rng.normal(size=(1, n)) if layout == "continuous-z" else one_hot(domains, 4)
+    return x, labels, z
+
+
+NULL_LAYOUTS = ["one-group", "single-cell-groups", "dropped-group", "four-domains",
+                "continuous-z", "grams"]
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 10_000), n=st.integers(10, 40),
+       layout=st.sampled_from(NULL_LAYOUTS), epsilon=st.sampled_from([1e-1, 1e-2, 1e-3]),
+       permutations=st.integers(1, 30))
+def test_moved_columns_give_the_full_solve_replicates(seed, n, layout, epsilon,
+                                                      permutations):
+    # the triangular-solve evaluator solves only the c - G columns a shuffle
+    # within the classes can move; its replicates equal cond_values over all
+    # c - 1 columns within rounding, and its statistic is that call's
+    rng = np.random.default_rng(seed)
+    x, labels, z = null_layout(layout, rng, n)
+    y = np.ones((1, n)) if layout == "one-group" else one_hot(labels, 3)
+    calls = []
+    real = measures._null_core
+
+    def spy(kxt, *args):
+        calls.append((kxt.copy(), *args))
+        calls[-1] += real(kxt, *args)
+        return calls[-1][-2:]
+
+    with patch.object(measures, "_BINCOUNT_FLOPS", 10 ** 9), \
+            patch.object(measures, "_null_core", spy):
+        if layout == "grams":
+            ky = label_gram(y)
+            kxt = product_gram(gram(x, KernelConfig.from_data(x)), ky)
+            given_kxt = kxt.entries.copy()
+            rep = cond(kxt, product_gram(label_gram(z), ky), ky, epsilon, labels=labels,
+                       permutations=permutations, seed=seed)
+            assert np.array_equal(kxt.entries, given_kxt)  # the caller's Gram is kept
+        else:
+            rep = cond_from_features(x, y, z, epsilon, labels=labels,
+                                     permutations=permutations, seed=seed)
+    [(kxt, cell, my, mzt, eps, perms, _, stat, values)] = calls
+    ridge = n * eps
+    v, w, q, keep = cell_terms(cell, my, mzt, ridge)
+    group = np.zeros(mzt.shape[0], dtype=int) if my is None else distinct_columns(my)[1]
+    dropped = np.delete(group, keep)[0]
+    assert {"one-group": my is None,
+            "single-cell-groups": np.any(np.bincount(group) == 1),
+            "dropped-group": np.count_nonzero(group == dropped) > 1,
+            "four-domains": np.unique(z, axis=1).shape[1] > 2,
+            "continuous-z": mzt.shape[0] == n,
+            "grams": True}[layout]
+    low, r = regularized_factor(kxt, ridge)
+    assert stat == rep.statistic == cond_values(low, r, v[:, None], q, w, ridge)[0][0]
+    full = cond_values(low, r, v[perms], q, w, ridge)[0]
+    assert np.all(np.abs(values - full) <= 1e-12 * max(abs(stat), np.sum(q * w)))
+    # an exact tie is the statistic's value on both paths
+    full[values == stat] = stat
+    assert rep.permutation_pvalue == measures._pvalue(stat, full)
+
+
+def test_a_replicate_solves_the_cell_count_less_the_label_groups():
+    # 3 classes x 2 domains: c = 6 cells in G = 3 label groups, so each
+    # replicate solves 3 columns, not c - 1 = 5; the 2 group sums once
+    x, y, z = chain_triple(120, 3, classes=3, domains=2, shift=1.0)
+    widths = []
+    real = measures.projected_solve
+
+    def spy(low, r, vs):
+        widths.append(vs.shape[1:])
+        return real(low, r, vs)
+
+    with patch.object(measures, "projected_solve", spy):
+        cond_from_features(x, y, z, 1e-2, labels=y.argmax(axis=0), permutations=10)
+    assert widths == [(1, 2), (10, 3)]
 
 
 @pytest.mark.parametrize("route", ["features", "grams"])
