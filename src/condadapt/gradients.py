@@ -27,7 +27,7 @@ is given in place as its Fortran-ordered transpose, and r;
 ``projected_solve`` gives F and ``cond_values`` the values for each
 (n, c - 1) slice of an (n, b, c - 1) stack of V's.  The permutation null
 solves only s = c - G of those columns per replicate: its shuffles keep
-each sample in its label group (cells with equal M_Y rows, G of them), so
+each sample in its label group (cells with one label column, G of them), so
 each group's column sum is fixed.  The value and
 the chain to the features are
 

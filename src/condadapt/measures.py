@@ -26,8 +26,8 @@ objective does, one factor of the uncentered K_Xt + n*eps*I.
 A shuffle within the label classes only permutes the rows of V, so a
 replicate needs only F_pi^T F_pi, with F as in ``gradients`` for the
 shuffled V.  It also keeps every sample in its label group, the cells with
-equal M_Y rows (one group for a constant label kernel): each class shares
-one label column or K_Y row, as ``_null_classes`` checks.  So the sum of
+one label column (one K_Y row in ``cond``; one group for a constant label
+block): each class shares one, as ``_null_classes`` checks.  So the sum of
 V's columns over a group without the dropped cell is the same in every
 replicate; with G groups, a replicate solves only s = c - G columns.  A
 cost model in n, c, s and the replicate count picks one of two exact
@@ -64,12 +64,15 @@ from .trainer import AdamConfig, AdamState, adam_step
 _BLOCK_COLUMNS = 256
 # Evaluator choice.  The triangular solve costs about n s (n + 2 s) flops per
 # evaluation of s columns, the solve and the product with Q: s = c - 1 for
-# the statistic and s = c - G for each moved replicate, G label groups.
-# Block sums cost about n^3 once (dpotri's 2n^3/3) and n^2 bincount entries
-# per evaluation, each as slow as this many flops of the solve.  Fitted with
-# one BLAS thread (OpenBLAS 0.3.31, 2-vCPU Intel Xeon) over n = 100-1000,
-# c = 2-n and 1-200 permutations, with B centred and s = c - 1 then: the
-# chosen evaluator was never more than 1.21 times slower than the faster one.
+# the statistic and s = c - G for each moved replicate, G label groups (its
+# O(n s) gather and cross-term pass are left out).  Block sums cost about n^3
+# once (dpotri's 2n^3/3) and n^2 bincount entries per evaluation, each as
+# slow as this many flops of the solve.  Fitted with one BLAS thread
+# (OpenBLAS 0.3.31, 2-vCPU Intel Xeon) over n = 100-1000, c = 2-n and 1-200
+# permutations, with B centred and s = c - 1: the chosen evaluator was never
+# more than 1.21 times slower than the faster one.  Re-timed near the
+# boundary with s < c - 1 (n = 100-800, G = 2-32): at most 1.26 times slower
+# for n >= 400, up to 1.86 at n = 100-200, as for G = 1 points timed alongside.
 _BINCOUNT_FLOPS = 48
 # A replicate whose value lies this close to the statistic (relative to the
 # larger of it and Tr(Q W), plus the floor) is checked for an exact tie.
@@ -172,7 +175,8 @@ def _moved_columns(low: np.ndarray, r: np.ndarray, v: np.ndarray, q: np.ndarray,
     no within-class shuffle changes: V = V' T, so sum(F Q * F) = sum(F' Q' * F')
     with Q' = T Q T^T.  The fixed columns' F' = Psi is solved once; with the
     moved ones F_m per replicate, sum(F' Q' * F') =
-    sum(F_m (F_m Q'_mm + 2 Psi Q'_fm)) + sum(Psi Q'_ff * Psi).
+    sum(F_m (F_m Q'_mm + 2 Psi Q'_fm)) + sum(Psi Q'_ff * Psi).  With no
+    fixed column (one label group), T = I and this is ``cond_values``' sum.
     """
     member = (group[:, None] == group[fixed]).astype(float)
     t = np.eye(q.shape[0])
@@ -192,12 +196,13 @@ def _moved_columns(low: np.ndarray, r: np.ndarray, v: np.ndarray, q: np.ndarray,
     return values_of
 
 
-def _null_core(kxt: np.ndarray, cell: np.ndarray, my: np.ndarray | None,
+def _null_core(kxt: np.ndarray, cell: np.ndarray, group: np.ndarray, my: np.ndarray | None,
                mzt: np.ndarray, epsilon: float, perms: np.ndarray,
                x: np.ndarray) -> tuple[float, np.ndarray]:
     """Statistic and one replicate value per column of ``perms`` from K_Xt, the
-    cells with their Grams (as ``gradients.cond_cells`` returns them) and the
-    feature block or K_Xt ``x``.  K_Xt is factored in place."""
+    cells with their Grams (as ``gradients.cond_cells`` returns them), each
+    cell's label group number ``group`` (a shuffled class lies in one group)
+    and the feature block or K_Xt ``x``.  K_Xt is factored in place."""
     n, c = cell.shape[0], mzt.shape[0]
     ridge = n * epsilon
     v, w, q, keep = cell_terms(cell, my, mzt, ridge)
@@ -205,8 +210,7 @@ def _null_core(kxt: np.ndarray, cell: np.ndarray, my: np.ndarray | None,
     base = float(np.sum(q * w))
     # a shuffle that keeps every sample in its cell fixes K_Zt: a tie
     moved = np.flatnonzero(np.any(cell[perms] != cell[:, None], axis=0))
-    # label groups: for each one without the dropped cell, one column is fixed
-    group = np.zeros(c, dtype=np.intp) if my is None else distinct_columns(my)[1]
+    # for each label group without the dropped cell, one column is fixed
     kept = group[keep]
     first = np.unique(kept, return_index=True)[1]
     fixed = first[kept[first] != np.delete(group, keep)[0]]
@@ -233,11 +237,7 @@ def _null_core(kxt: np.ndarray, cell: np.ndarray, my: np.ndarray | None,
         width = c - 1  # replicates per block as for a solve of all c - 1 columns
     else:
         stat = float(cond_values(low, r, v[:, None], q, w, ridge)[0][0])
-        if fixed.shape[0]:
-            values_of = _moved_columns(low, r, v, q, base, ridge, kept, fixed)
-        else:
-            def values_of(ps: np.ndarray) -> np.ndarray:
-                return cond_values(low, r, v[ps], q, w, ridge)[0]
+        values_of = _moved_columns(low, r, v, q, base, ridge, kept, fixed)
 
     values = np.full(perms.shape[1], stat)
     per_block = max(1, _BLOCK_COLUMNS // max(1, width))
@@ -272,15 +272,20 @@ def cond(kxt: GramMatrix, kzt: GramMatrix, ky: GramMatrix, epsilon: float, *,
             raise NumericalError(f"non-finite entries in {name}")
     classes = (_null_classes(labels, ky.entries, "K_Y rows")
                if labels is not None or permutations > 0 else [])
-    # two samples share a cell when their rows of [K_Y | K_Zt] are equal
-    ids: dict[bytes, int] = {}
-    cell = np.array([ids.setdefault(r.tobytes(), len(ids))
-                     for r in np.hstack([ky.entries, kzt.entries])], dtype=np.intp)
+    # two samples share a cell when their rows of K_Y and K_Zt are equal, and
+    # cells share a label group when their K_Y rows compare equal, as in the
+    # class check (+ 0.0 turns -0.0 into 0.0)
+    ids: dict[tuple[bytes, bytes], int] = {}
+    cell = np.array([ids.setdefault((a.tobytes(), b.tobytes()), len(ids))
+                     for a, b in zip(ky.entries, kzt.entries)], dtype=np.intp)
     first = np.unique(cell, return_index=True)[1]
+    rows: dict[bytes, int] = {}
+    group = np.array([rows.setdefault((ky.entries[i] + 0.0).tobytes(), len(rows))
+                      for i in first], dtype=np.intp)
     my = None if is_constant_block(ky.entries) else ky.entries[np.ix_(first, first)]
-    stat, null = _null_core(kxt.entries.copy(), cell, my, kzt.entries[np.ix_(first, first)],
-                            epsilon, _shuffles(classes, ky.n, permutations, seed),
-                            kxt.entries)
+    stat, null = _null_core(kxt.entries.copy(), cell, group, my,
+                            kzt.entries[np.ix_(first, first)], epsilon,
+                            _shuffles(classes, ky.n, permutations, seed), kxt.entries)
     return DependenceReport(stat, StatKind.COND, ky.n, float(epsilon), _pvalue(stat, null))
 
 
@@ -300,7 +305,11 @@ def _grouped_report(kind: StatKind, x: np.ndarray, y: np.ndarray, z: np.ndarray,
         xg, yg, zg, local = ((x, y, z, perms) if idx.shape[0] == n else  # all n: as they are
                              (x[:, idx], y[:, idx], z[:, idx], pos[perms[idx]]))
         kxt, cell, my, mzt = cond_cells(xg, yg, zg, cfgs)
-        s, values = _null_core(kxt, cell, my, mzt, epsilon, local, xg)
+        some = np.empty(mzt.shape[0], dtype=np.intp)
+        some[cell] = np.arange(cell.shape[0])  # a sample of each cell
+        # cells with one label column share a label group
+        group = distinct_columns(yg[:, some])[1]
+        s, values = _null_core(kxt, cell, group, my, mzt, epsilon, local, xg)
         stat += (idx.shape[0] / total) * s
         null += (idx.shape[0] / total) * values
     return DependenceReport(stat, kind, n, float(epsilon), _pvalue(stat, null), skipped)

@@ -14,7 +14,6 @@ from condadapt.gradients import cell_terms, cond_objective, cond_values, regular
 from condadapt.kernels import (
     GramMatrix,
     KernelConfig,
-    distinct_columns,
     gram,
     label_gram,
     product_gram,
@@ -431,7 +430,7 @@ def null_layout(layout, rng, n):
 
 
 NULL_LAYOUTS = ["one-group", "single-cell-groups", "dropped-group", "four-domains",
-                "continuous-z", "grams"]
+                "continuous-z", "soft-labels", "grams"]
 
 
 @settings(deadline=None, max_examples=80)
@@ -446,6 +445,8 @@ def test_moved_columns_give_the_full_solve_replicates(seed, n, layout, epsilon,
     rng = np.random.default_rng(seed)
     x, labels, z = null_layout(layout, rng, n)
     y = np.ones((1, n)) if layout == "one-group" else one_hot(labels, 3)
+    if layout == "soft-labels":  # one soft label column per class
+        y = rng.dirichlet(np.ones(3), size=3).T[:, labels]
     calls = []
     real = measures._null_core
 
@@ -466,16 +467,18 @@ def test_moved_columns_give_the_full_solve_replicates(seed, n, layout, epsilon,
         else:
             rep = cond_from_features(x, y, z, epsilon, labels=labels,
                                      permutations=permutations, seed=seed)
-    [(kxt, cell, my, mzt, eps, perms, _, stat, values)] = calls
+    [(kxt, cell, group, my, mzt, eps, perms, _, stat, values)] = calls
     ridge = n * eps
     v, w, q, keep = cell_terms(cell, my, mzt, ridge)
-    group = np.zeros(mzt.shape[0], dtype=int) if my is None else distinct_columns(my)[1]
+    for c in np.unique(labels):  # every class lies in one label group
+        assert np.unique(group[cell[labels == c]]).shape[0] == 1
     dropped = np.delete(group, keep)[0]
-    assert {"one-group": my is None,
+    assert {"one-group": my is None and np.all(group == 0),
             "single-cell-groups": np.any(np.bincount(group) == 1),
             "dropped-group": np.count_nonzero(group == dropped) > 1,
             "four-domains": np.unique(z, axis=1).shape[1] > 2,
             "continuous-z": mzt.shape[0] == n,
+            "soft-labels": np.unique(group).shape[0] == np.unique(y, axis=1).shape[1],
             "grams": True}[layout]
     low, r = regularized_factor(kxt, ridge)
     assert stat == rep.statistic == cond_values(low, r, v[:, None], q, w, ridge)[0][0]
