@@ -20,8 +20,7 @@ from . import data as data_mod
 from . import measures
 from .errors import ConfigError, DegenerateDataError, InputError, NumericalError, ParseError
 from .model import forward_pass, save_params
-from .trainer import (PseudoLabelMode, TrainConfig, fit, init_params_for, pretrain,
-                      target_accuracy)
+from .trainer import TrainConfig, fit, init_params_for, pretrain, target_accuracy
 
 _DATA_ERRORS = (InputError, ConfigError, DegenerateDataError, NumericalError,
                 ParseError, OSError)
@@ -101,7 +100,6 @@ def _add_train_flags(p: argparse.ArgumentParser):
     p.add_argument("--adapt-epochs", type=int, default=100)
     p.add_argument("--hidden", type=int, default=512)
     p.add_argument("--rep-dim", type=int, default=512)
-    p.add_argument("--pseudo-labels", choices=["hard", "soft"], default="hard")
 
 
 def _dataset_from_args(args, seed: int) -> data_mod.AdaptationDataset:
@@ -173,7 +171,6 @@ def _train_config(args, seed: int, **weights) -> TrainConfig:
         adapt_epochs=args.adapt_epochs,
         learning_rate=args.lr,
         seed=seed,
-        pseudo_label_mode=PseudoLabelMode(args.pseudo_labels),
         hidden_units=args.hidden,
         rep_dim=args.rep_dim,
     )

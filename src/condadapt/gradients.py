@@ -36,9 +36,9 @@ the chain to the features are
     dL/dK_X   = dL/dK_Xt * K_Y                  (elementwise)
     dL/dX     = (4 / s2) * X (E - diag(E 1)),  E = dL/dK_X * K_X,
 
-using dK_X[i,j]/dx_i = -(2/s2)(x_i - x_j) K_X[i,j].  Hard labels give at
-most K (N+1) cells; soft pseudo-labels make each target column a cell of
-its own and run through the same code.  Bandwidths are treated as
+using dK_X[i,j]/dx_i = -(2/s2)(x_i - x_j) K_X[i,j].  The trainer's hard
+pseudo-labels give at most K (N+1) cells; a soft label block, one cell per
+distinct column, runs through the same code.  Bandwidths are treated as
 constants of the step (stop-gradient through the mean-squared-distance
 rule), so finite-difference checks must hold them fixed too.
 """
@@ -178,7 +178,9 @@ def regularized_factor(kxt: np.ndarray, ridge: float) -> tuple[np.ndarray, np.nd
 def projected_solve(low: np.ndarray, r: np.ndarray, vs: np.ndarray) -> np.ndarray:
     f = scipy.linalg.solve_triangular(low, vs.reshape(vs.shape[0], -1), lower=True,
                                       check_finite=False).reshape(vs.shape)
-    f -= r[:, None, None] * np.einsum("n,nbi->bi", r, f)
+    t = np.einsum("n,nbi->bi", r, f)
+    for rows in row_blocks(f.shape[0], t.size):  # no second (n, b, s) array
+        f[rows] -= r[rows, None, None] * t
     return f
 
 

@@ -29,11 +29,11 @@ shuffled V.  It also keeps every sample in its label group, the cells with
 one label column (one K_Y row in ``cond``; one group for a constant label
 block): each class shares one, as ``_null_classes`` checks.  So the sum of
 V's columns over a group without the dropped cell is the same in every
-replicate; with G groups, a replicate solves only s = c - G columns.  A
-cost model in n, c, s and the replicate count picks one of two exact
-evaluators: the batched triangular solve, O(n^2 s) per replicate (the
-statistic is ``gradients.cond_values`` over all c - 1 columns, the
-objective's call), or the c x c block sums over the permuted cell pairs of
+replicate; with G groups, a replicate solves only s = c - G columns.  The
+statistic is always ``gradients.cond_values`` over all c - 1 columns, the
+objective's call.  For the replicates a cost model in n, s and their count
+picks one of two exact evaluators: the batched triangular solve, O(n^2 s)
+per replicate, or the c x c block sums over the permuted cell pairs of
 B - (B1)(B1)^T / (1^T B1), B = (K_Xt + n*eps*I)^{-1}, whose rows and
 columns sum to zero: one ``np.bincount``, O(n^2) per replicate once
 formed.  A shuffle that keeps every sample in its cell, or within rounding
@@ -62,17 +62,16 @@ from .trainer import AdamConfig, AdamState, adam_step
 # Right-hand-side columns per block of replicates (at least one replicate),
 # so the null's workspace stays within n times this.
 _BLOCK_COLUMNS = 256
-# Evaluator choice.  The triangular solve costs about n s (n + 2 s) flops per
-# evaluation of s columns, the solve and the product with Q: s = c - 1 for
-# the statistic and s = c - G for each moved replicate, G label groups (its
-# O(n s) gather and cross-term pass are left out).  Block sums cost about n^3
-# once (dpotri's 2n^3/3) and n^2 bincount entries per evaluation, each as
-# slow as this many flops of the solve.  Fitted with one BLAS thread
-# (OpenBLAS 0.3.31, 2-vCPU Intel Xeon) over n = 100-1000, c = 2-n and 1-200
-# permutations, with B centred and s = c - 1: the chosen evaluator was never
-# more than 1.21 times slower than the faster one.  Re-timed near the
-# boundary with s < c - 1 (n = 100-800, G = 2-32): at most 1.26 times slower
-# for n >= 400, up to 1.86 at n = 100-200, as for G = 1 points timed alongside.
+# Replicate evaluator choice.  The triangular solve costs about n s (n + 2 s)
+# flops per replicate of s = c - G solved columns, G label groups, the solve
+# and the product with Q (its O(n s) gather and cross-term pass are left out).
+# Block sums cost about n^3 once (dpotri's 2n^3/3) and n^2 bincount entries
+# per replicate, each as slow as this many flops of the solve.  Fitted with
+# one BLAS thread (OpenBLAS 0.3.31, 2-vCPU Intel Xeon) over n = 100-1000,
+# c = 2-n and 1-200 permutations.  Re-timed on warm calls with each evaluator
+# forced (n = 100-800, G = 1-32, 20 and 200 permutations): the chosen one was
+# at most 1.26 times slower than the faster for n >= 400, but 1.9-2.4 times
+# at n = 100-200 with c = 24-48, where it picks the solve.
 _BINCOUNT_FLOPS = 48
 # A replicate whose value lies this close to the statistic (relative to the
 # larger of it and Tr(Q W), plus the floor) is checked for an exact tie.
@@ -207,17 +206,20 @@ def _null_core(kxt: np.ndarray, cell: np.ndarray, group: np.ndarray, my: np.ndar
     ridge = n * epsilon
     v, w, q, keep = cell_terms(cell, my, mzt, ridge)
     low, r = regularized_factor(kxt, ridge)
-    base = float(np.sum(q * w))
+    stat = float(cond_values(low, r, v[:, None], q, w, ridge)[0][0])  # the objective's call
     # a shuffle that keeps every sample in its cell fixes K_Zt: a tie
     moved = np.flatnonzero(np.any(cell[perms] != cell[:, None], axis=0))
+    m = moved.shape[0]
+    values = np.full(perms.shape[1], stat)
+    if not m:
+        return stat, values
+    base = float(np.sum(q * w))
     # for each label group without the dropped cell, one column is fixed
     kept = group[keep]
     first = np.unique(kept, return_index=True)[1]
     fixed = first[kept[first] != np.delete(group, keep)[0]]
     width = c - 1 - fixed.shape[0]
-    evals = moved.shape[0] + 1
-    solve_flops = n * ((c - 1) * (n + 2 * (c - 1)) + moved.shape[0] * width * (n + 2 * width))
-    if n ** 3 + evals * _BINCOUNT_FLOPS * n * n < solve_flops:
+    if n ** 3 + m * _BINCOUNT_FLOPS * n * n < n * m * width * (n + 2 * width):
         # block sums of B - (B1)(B1)^T / (1^T B1) over cell pairs
         inv, info = scipy.linalg.lapack.dpotri(low, lower=1, overwrite_c=1)
         if info != 0:
@@ -233,15 +235,12 @@ def _null_core(kxt: np.ndarray, cell: np.ndarray, group: np.ndarray, my: np.ndar
             sums = [np.bincount(((cp * c)[:, None] + cp).ravel(), weights=b.ravel(),
                                 minlength=c * c) for cp in cell[ps.T]]
             return base - ridge * (np.array(sums) @ qc.ravel())
-        stat = float(values_of(np.arange(n)[:, None])[0])
         width = c - 1  # replicates per block as for a solve of all c - 1 columns
     else:
-        stat = float(cond_values(low, r, v[:, None], q, w, ridge)[0][0])
         values_of = _moved_columns(low, r, v, q, base, ridge, kept, fixed)
 
-    values = np.full(perms.shape[1], stat)
     per_block = max(1, _BLOCK_COLUMNS // max(1, width))
-    for start in range(0, moved.shape[0], per_block):
+    for start in range(0, m, per_block):
         js = moved[start:start + per_block]
         values[js] = values_of(perms[:, js])
     # within rounding of the statistic: a tie if K_Xt or K_Zt is unchanged

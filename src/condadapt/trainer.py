@@ -1,10 +1,11 @@
 """Source pre-training, pseudo-label refresh, and full-batch adaptation.
 
 The protocol: pre-train the network on labeled source data with summed
-cross-entropy, initialize target pseudo-labels from its predictions, then
-repeat full-batch steps on the total objective followed by a pseudo-label
-refresh from the just-updated model.  Everything is deterministic given the
-config seed; the only randomness is the parameter initialization.
+cross-entropy, set hard (one-hot argmax) target pseudo-labels from its
+predictions, then repeat full-batch steps on the total objective followed
+by a pseudo-label refresh from the just-updated model.  Everything is
+deterministic given the config seed; the only randomness is the parameter
+initialization.
 
 An adaptation step runs one forward pass, after its update: its target columns
 set the pseudo-labels and answer the next ``target_accuracy``, and the next step
@@ -39,8 +40,7 @@ from .model import (
 
 
 class PseudoLabelMode(Enum):
-    HARD = "hard"
-    SOFT = "soft"
+    HARD = "hard"  # one-hot argmax labels, the only mode
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,11 @@ class TrainConfig:
     learning_rate: float = 1e-3
     adam: ClassVar[AdamConfig] = AdamConfig()  # fixed, not a constructor argument
     seed: int = 0
-    pseudo_label_mode: PseudoLabelMode = PseudoLabelMode.HARD
+    pseudo_label_mode: ClassVar[PseudoLabelMode] = PseudoLabelMode.HARD  # fixed, not an argument
     hidden_units: int = 512
     rep_dim: int = 512
 
     def __post_init__(self):
-        if not isinstance(self.pseudo_label_mode, PseudoLabelMode):
-            raise ConfigError(f"pseudo_label_mode must be a PseudoLabelMode, "
-                              f"got {self.pseudo_label_mode!r}")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
@@ -187,14 +184,15 @@ def pretrain(dataset: AdaptationDataset, config: TrainConfig,
 
 def init_pseudo_labels(dataset: AdaptationDataset, params: ModelParams,
                        mode: PseudoLabelMode = PseudoLabelMode.HARD) -> AdaptationDataset:
-    """Set target pseudo-labels from the model's current predictions."""
-    dataset.pseudo_labels = _pseudo_labels(forward_pass(params, dataset.target).probs, mode)
+    """Set target pseudo-labels from the model's current predictions; ``mode``
+    other than ``PseudoLabelMode.HARD`` is a ConfigError."""
+    if mode is not PseudoLabelMode.HARD:
+        raise ConfigError(f"mode must be PseudoLabelMode.HARD, got {mode!r}")
+    dataset.pseudo_labels = _pseudo_labels(forward_pass(params, dataset.target).probs)
     return dataset
 
 
-def _pseudo_labels(probs: np.ndarray, mode: PseudoLabelMode) -> np.ndarray:
-    if mode is PseudoLabelMode.SOFT:
-        return probs.copy()
+def _pseudo_labels(probs: np.ndarray) -> np.ndarray:
     # argmax breaks ties toward the lowest class index
     return one_hot(probs.argmax(axis=0), probs.shape[0])
 
@@ -258,7 +256,7 @@ def adapt_epoch(dataset: AdaptationDataset, config: TrainConfig,
     st = forward_pass(params, dataset.features)
     opt_state.carried = (arrays, st.x, st)
     probs_t = st.probs[:, ns:]
-    dataset.pseudo_labels = _pseudo_labels(probs_t, config.pseudo_label_mode)
+    dataset.pseudo_labels = _pseudo_labels(probs_t)
     dataset._last_step = (arrays, st.x, probs_t.argmax(axis=0))
     return params, LossBreakdown(ce, cond_term, ent, config.beta1, config.beta2)
 
@@ -276,7 +274,7 @@ def fit(dataset: AdaptationDataset, config: TrainConfig,
         raise ConfigError(f"pretrained network has dims {params.dims}, but the dataset "
                           f"and config give {dims} (input, hidden, rep, classes)")
     trace = TrainTrace(list(pre_trace.losses))
-    init_pseudo_labels(dataset, params, config.pseudo_label_mode)
+    init_pseudo_labels(dataset, params)
     opt_state = AdamState.for_params(params)
     for _ in range(config.adapt_epochs):
         params, breakdown = adapt_epoch(dataset, config, params, opt_state)

@@ -212,7 +212,7 @@ class AdaptationStudy:
                 cfg = _blob_config(seed, b1, b2)
                 if arm == "full":
                     params = before = pretrained[0]
-                    init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
+                    init_pseudo_labels(ds, params)
                     opt = AdamState.for_params(params)
                     for _ in range(cfg.adapt_epochs):
                         params, _ = adapt_epoch(ds, cfg, params, opt)
@@ -386,7 +386,7 @@ def test_criterion_8_invariance_suite(capsys):
     ds = _blob_dataset(0)
     cfg = _blob_config(0, 0.05, 5e-3)
     params = init_params_for(ds, cfg)
-    init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
+    init_pseudo_labels(ds, params)
     _, bd = adapt_epoch(ds, replace(cfg, epsilon=eps), params)
     breakdown_ok = bd.total == bd.ce + 0.05 * bd.cond + 5e-3 * bd.ent
 

@@ -91,6 +91,19 @@ def test_measure_cond_separates_chain_modes(capsys):
     assert dep["results"]["pvalue"] <= 0.05
 
 
+def test_measure_cond_statistic_does_not_depend_on_the_permutation_count(capsys):
+    # 88 cells at n = 440: block sums evaluate the 20 replicates, and the
+    # statistic is the objective's call either way
+    args = ["measure", "--synthetic", "shifted-blobs", "--classes", "8", "--sources", "10",
+            "--per-class", "5", "--stat", "cond"]
+    stats = []
+    for permutations in ("0", "20"):
+        rc, rep, err = run(capsys, args + ["--permutations", permutations])
+        assert rc == 0, err
+        stats.append(rep["results"]["statistic"])
+    assert stats[0] == stats[1]
+
+
 def test_measure_mmd_and_a_distance_reports(capsys):
     base = ["measure", "--synthetic", "shifted-blobs", "--classes", "2",
             "--per-class", "30", "--seed", "1"]
@@ -218,6 +231,10 @@ def test_exit_code_2_on_bad_arguments(capsys):
         main(["train"] + FAST_TRAIN + ["--trials", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:  # pseudo-labels are always hard
+        main(["train"] + FAST_TRAIN + ["--pseudo-labels", "soft"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --pseudo-labels soft" in capsys.readouterr().err
     for grid in (",", "a,b"):
         with pytest.raises(SystemExit) as exc:
             main(["sweep"] + FAST_TRAIN + ["--beta1-grid", grid, "--beta2-grid", "0"])

@@ -41,6 +41,19 @@ def test_value_agrees_with_measures_route():
     via_gradients = cond_objective(xre, y, z, cfgs, 1e-3)[0]
     via_measures = cond_from_features(xre, y, z, 1e-3).statistic
     assert via_gradients == via_measures  # one factor and one evaluator
+    # also with many cells, a continuous domain or 12 one-hot domains, where
+    # block sums evaluate the replicates (or the solve, for two 12-domain seeds
+    # near the cost model's boundary): the statistic is still the objective's
+    # call, at any permutation count
+    for seed in range(5):
+        xre, y, _ = random_instance(seed, n=120)
+        rng = np.random.default_rng(seed)
+        for z in (rng.normal(size=(1, 120)), one_hot(rng.integers(0, 12, size=120), 12)):
+            value = cond_objective(xre, y, z, None, 1e-3)[0]
+            for permutations in (0, 50):
+                rep = cond_from_features(xre, y, z, 1e-3, labels=y.argmax(axis=0),
+                                         permutations=permutations, seed=seed)
+                assert rep.statistic == value
 
 
 def test_nocco_value_agrees_with_measures_route():

@@ -90,10 +90,12 @@ def test_adam_config_rejects_invalid_values_by_name(field, value):
         AdamConfig(**{field: value})
 
 
-@pytest.mark.parametrize("mode", ["soft", "hard"])
+@pytest.mark.parametrize("mode", ["soft", "hard", PseudoLabelMode.HARD])
 def test_config_rejects_a_pseudo_label_mode_that_is_not_the_enum(mode):
-    with pytest.raises(ConfigError, match="pseudo_label_mode"):
+    # the mode is a constant: any value, the enum's own too, is an unexpected argument
+    with pytest.raises(TypeError, match="pseudo_label_mode"):
         quick_config(pseudo_label_mode=mode)
+    assert TrainConfig().pseudo_label_mode is PseudoLabelMode.HARD
 
 
 @pytest.mark.parametrize("field,value", [("seed", -1), ("seed", 1.0), ("hidden_units", 0),
@@ -224,6 +226,7 @@ def test_pseudo_labels_tie_break_lowest_class():
 
 
 def test_pseudo_label_modes_shape_invariants():
+    # hard labels are one-hot; any other mode is named and leaves them as they are
     ds = separable_dataset()
     cfg = quick_config()
     params, _ = pretrain(ds, cfg, init_params_for(ds, cfg))
@@ -231,10 +234,11 @@ def test_pseudo_label_modes_shape_invariants():
     assert set(np.unique(ds.pseudo_labels)) <= {0.0, 1.0}
     np.testing.assert_array_equal(ds.pseudo_labels.sum(axis=0),
                                   np.ones(ds.n_target))
-    init_pseudo_labels(ds, params, PseudoLabelMode.SOFT)
-    assert np.all(ds.pseudo_labels > 0)
-    np.testing.assert_allclose(ds.pseudo_labels.sum(axis=0),
-                               np.ones(ds.n_target), atol=1e-12)
+    hard = ds.pseudo_labels
+    for mode in ("soft", "hard", None):
+        with pytest.raises(ConfigError, match="mode"):
+            init_pseudo_labels(ds, params, mode)
+    assert ds.pseudo_labels is hard
 
 
 # adaptation epochs
@@ -251,7 +255,7 @@ def test_adapt_epoch_with_zero_betas_is_pure_ce_step():
     ds = separable_dataset()
     cfg = quick_config()
     params, _ = pretrain(ds, cfg, init_params_for(ds, cfg))
-    init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
+    init_pseudo_labels(ds, params)
 
     state = AdamState.for_params(params)
     stepped, bd = adapt_epoch(ds, cfg, params, state)
@@ -276,7 +280,7 @@ def test_adapt_epoch_breakdown_identity():
     ds = separable_dataset()
     cfg = quick_config(beta1=0.05, beta2=0.01)
     params, _ = pretrain(ds, cfg, init_params_for(ds, cfg))
-    init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
+    init_pseudo_labels(ds, params)
     _, bd = adapt_epoch(ds, cfg, params)
     assert bd.total == bd.ce + 0.05 * bd.cond + 0.01 * bd.ent
     assert bd.cond > 0 and bd.ent > 0
@@ -286,7 +290,7 @@ def test_adapt_epoch_names_failing_term():
     ds = separable_dataset()
     cfg = quick_config()
     params, _ = pretrain(ds, cfg, init_params_for(ds, cfg))
-    init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
+    init_pseudo_labels(ds, params)
     params.c_w[0, 0] = np.nan
     with pytest.raises(NumericalError, match="cross-entropy"):
         adapt_epoch(ds, cfg, params)
@@ -302,7 +306,7 @@ def test_overflowing_adam_update_is_named_at_its_epoch():
         with pytest.raises(NumericalError, match="Adam update.*pretrain epoch 0"):
             pretrain(ds, quick_config(learning_rate=1e308), init_params_for(ds, cfg))
     params = init_params_for(ds, cfg)  # untrained, so gradients stay large
-    init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
+    init_pseudo_labels(ds, params)
     state = AdamState.for_params(params)
     params, _ = adapt_epoch(ds, cfg, params, state)
     with pytest.warns(RuntimeWarning, match="overflow"):
@@ -320,7 +324,7 @@ def test_aligned_domains_have_lower_cond_term():
                              ((2.0, 0.0), shifted_terms)):
             ds = blob_dataset(seed=seed, shift=shift)
             params, _ = pretrain(ds, cfg, init_params_for(ds, cfg))
-            init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
+            init_pseudo_labels(ds, params)
             _, bd = adapt_epoch(ds, cfg, params)
             store.append(bd.cond)
     assert np.median(aligned_terms) < np.median(shifted_terms)
@@ -330,7 +334,7 @@ def test_pseudo_labels_refreshed_after_update():
     ds = separable_dataset()
     cfg = quick_config(beta2=0.01)
     params, _ = pretrain(ds, cfg, init_params_for(ds, cfg))
-    init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
+    init_pseudo_labels(ds, params)
     stepped, _ = adapt_epoch(ds, cfg, params)
     expected = forward_pass(stepped, ds.target).probs.argmax(axis=0)
     np.testing.assert_array_equal(ds.pseudo_labels.argmax(axis=0), expected)
@@ -414,7 +418,7 @@ def test_adaptation_reduces_cond_on_aligned_family():
         ds = blob_dataset(seed=seed, shift=(1.0, 0.0))
         params = init_params_for(ds, cfg)
         params, _ = pretrain(ds, cfg, params)
-        init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
+        init_pseudo_labels(ds, params)
         y_all = np.hstack([ds.source_labels, ds.pseudo_labels])
         z = ds.domain_matrix
         before = cond_objective(forward_pass(params, ds.features).xre, y_all, z,
@@ -469,7 +473,7 @@ def steady_state():
     ds = blob_dataset(seed=3)
     cfg = quick_config(beta1=0.05, beta2=0.01)
     params, _ = pretrain(ds, cfg, init_params_for(ds, cfg))
-    init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
+    init_pseudo_labels(ds, params)
     state = AdamState.for_params(params)
     params, _ = adapt_epoch(ds, cfg, params, state)
     return ds, cfg, params, state
@@ -570,7 +574,7 @@ def test_an_in_place_edit_of_an_array_the_forward_read_raises():
                            target_truth=one_hot(np.arange(24) % 2, 2))
     cfg = quick_config(beta1=0.05, beta2=0.01)
     params, _ = pretrain(ds, cfg, init_params_for(ds, cfg))
-    init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
+    init_pseudo_labels(ds, params)
     params, _ = adapt_epoch(ds, cfg, params)
     assert ds.target is target  # passed without a copy, and not frozen
     before = target_accuracy(params, ds)
@@ -593,7 +597,7 @@ def test_an_edit_through_the_base_of_a_view_block_is_seen():
     assert np.shares_memory(ds.sources[0][0], big_s)
     cfg = quick_config(beta1=0.05, beta2=0.01)
     params, _ = pretrain(ds, cfg, init_params_for(ds, cfg))
-    init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
+    init_pseudo_labels(ds, params)
     params, _ = adapt_epoch(ds, cfg, params)
     before = target_accuracy(params, ds)
     big_t[:2] += 3.0
@@ -611,7 +615,7 @@ def test_an_edit_through_an_alias_made_before_the_step_is_seen(monkeypatch):
                            target_truth=blobs.target_truth)
     cfg = quick_config(beta1=0.05, beta2=0.01)
     params, _ = pretrain(ds, cfg, init_params_for(ds, cfg))
-    init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
+    init_pseudo_labels(ds, params)
     state = AdamState.for_params(params)
     params, _ = adapt_epoch(ds, cfg, params, state)
     before = target_accuracy(params, ds)
@@ -642,7 +646,7 @@ def three_forward_fit(ds, cfg):
     """Pretraining, then adaptation steps written out with a separate forward
     for the step, the relabel and the accuracy, and Adam in its textbook form."""
     params, trace = pretrain(ds, cfg, init_params_for(ds, cfg))
-    init_pseudo_labels(ds, params, cfg.pseudo_label_mode)
+    init_pseudo_labels(ds, params)
     m = [np.zeros_like(a) for a in params.arrays()]
     v = [np.zeros_like(a) for a in params.arrays()]
     b1, b2, eps = cfg.adam.beta1, cfg.adam.beta2, cfg.adam.eps
@@ -665,23 +669,11 @@ def three_forward_fit(ds, cfg):
             vi += (1.0 - b2) * g * g
             a -= cfg.learning_rate * (mi / (1.0 - b1 ** t)) / (np.sqrt(vi / (1.0 - b2 ** t)) + eps)
         probs = forward_pass(params, ds.target).probs
-        if cfg.pseudo_label_mode is PseudoLabelMode.SOFT:
-            ds.pseudo_labels = probs
-        else:
-            ds.pseudo_labels = np.zeros_like(probs)
-            ds.pseudo_labels[probs.argmax(axis=0), np.arange(probs.shape[1])] = 1.0
+        ds.pseudo_labels = np.zeros_like(probs)
+        ds.pseudo_labels[probs.argmax(axis=0), np.arange(probs.shape[1])] = 1.0
         trace.losses.append(LossBreakdown(ce, cond, ent, cfg.beta1, cfg.beta2))
         trace.target_accuracy.append(plain_accuracy(params, ds))
     return params, trace
-
-
-def test_hard_label_fit_matches_three_forward_loop():
-    cfg = quick_config(beta1=0.05, beta2=0.01, hidden_units=64, rep_dim=32)
-    for seed in (0, 1):
-        p, t = fit(blob_dataset(seed=seed), cfg)
-        q, u = three_forward_fit(blob_dataset(seed=seed), cfg)
-        assert params_equal(p, q)
-        assert t == u
 
 
 def unbalanced_dataset():
@@ -695,20 +687,17 @@ def unbalanced_dataset():
     return AdaptationDataset(sources=[(xa, ya), (xb, yb)], target=xt, target_truth=yt)
 
 
-def test_soft_label_fit_on_unbalanced_layout_stays_close_to_three_forward_loop():
-    # the relabel reads a column slice of the step's forward, which BLAS may
-    # round differently from a forward over the target alone when the column
-    # counts are unbalanced (here parameters end up to 7e-14 apart with one
-    # BLAS thread); soft labels carry that into the next step's gradient
-    cfg = quick_config(beta1=0.05, beta2=0.01, pseudo_label_mode=PseudoLabelMode.SOFT,
-                       hidden_units=64, rep_dim=32)
-    p, t = fit(unbalanced_dataset(), cfg)
-    q, u = three_forward_fit(unbalanced_dataset(), cfg)
-    for a, b in zip(p.arrays(), q.arrays()):
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-11)
-    np.testing.assert_allclose([b.total for b in t.losses], [b.total for b in u.losses],
-                               rtol=1e-14)
-    assert t.target_accuracy == u.target_accuracy
+def test_hard_label_fit_matches_three_forward_loop():
+    # on the unbalanced source/target layout BLAS may round the relabel's column
+    # slice of the step's forward differently from a forward over the target
+    # alone; the hard labels keep only its argmax
+    cfg = quick_config(beta1=0.05, beta2=0.01, hidden_units=64, rep_dim=32)
+    for make in (lambda: blob_dataset(seed=0), lambda: blob_dataset(seed=1),
+                 unbalanced_dataset):
+        p, t = fit(make(), cfg)
+        q, u = three_forward_fit(make(), cfg)
+        assert params_equal(p, q)
+        assert t == u
 
 
 def test_fit_on_shared_pretraining_matches_own_pretraining():
