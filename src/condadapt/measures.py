@@ -25,9 +25,11 @@ objective does, one factor of the uncentered K_Xt + n*eps*I.
 
 A shuffle within the label classes only permutes the rows of V, so a
 replicate needs only F_pi^T F_pi, with F as in ``gradients`` for the
-shuffled V.  It also keeps every sample in its label group, the cells with
-one label column (one K_Y row in ``cond``; one group for a constant label
-block): each class shares one, as ``_null_classes`` checks.  So the sum of
+shuffled V: with Phi = L^{-1} V_pi and u = Phi^T r it is Phi^T Phi - u u^T,
+so F_pi itself is never formed.  A shuffle also keeps every sample in its
+label group, the cells with one label column (one K_Y row in ``cond``; one
+group for a constant label block): each class shares one, as
+``_null_classes`` checks.  So the sum of
 V's columns over a group without the dropped cell is the same in every
 replicate; with G groups, a replicate solves only s = c - G columns.  The
 statistic is always ``gradients.cond_values`` over all c - 1 columns, the
@@ -64,15 +66,14 @@ from .trainer import AdamConfig, AdamState, adam_step
 _BLOCK_COLUMNS = 256
 # Replicate evaluator choice.  The triangular solve costs about n s (n + 2 s)
 # flops per replicate of s = c - G solved columns, G label groups, the solve
-# and the product with Q (its O(n s) gather and cross-term pass are left out).
+# and the s x s Grams (its O(n s) gather and cross-term pass are left out).
 # Block sums cost about n^3 once (dpotri's 2n^3/3) and n^2 bincount entries
 # per replicate, each as slow as this many flops of the solve.  Fitted with
-# one BLAS thread (OpenBLAS 0.3.31, 2-vCPU Intel Xeon) over n = 100-1000,
-# c = 2-n and 1-200 permutations.  Re-timed on warm calls with each evaluator
-# forced (n = 100-800, G = 1-32, 20 and 200 permutations): the chosen one was
-# at most 1.26 times slower than the faster for n >= 400, but 1.9-2.4 times
-# at n = 100-200 with c = 24-48, where it picks the solve.
-_BINCOUNT_FLOPS = 48
+# one BLAS thread (OpenBLAS 0.3.31, 2-vCPU Intel Xeon) on warm calls with each
+# evaluator forced: n = 100-800, G = 1-32, 2, 3, 6 or n domains, 20 and 200
+# permutations, 2 data seeds: the chosen one was at most 1.60 times slower than
+# the faster at n = 100-200 (the solve's cost per block) and 1.68 at n >= 300.
+_BINCOUNT_FLOPS = 32
 # A replicate whose value lies this close to the statistic (relative to the
 # larger of it and Tr(Q W), plus the floor) is checked for an exact tie.
 _TIE_RTOL = 1e-9
@@ -143,16 +144,16 @@ def _null_classes(labels, rows: np.ndarray, what: str) -> list[np.ndarray]:
 
 
 def _shuffles(classes: list[np.ndarray], n: int, permutations: int, seed: int) -> np.ndarray:
-    """Column i shuffles each class's samples among themselves, one
-    ``rng.permutation`` per class in list order from ``default_rng(seed + i)``.
-    A negative count or seed is a ConfigError."""
+    """Column i shuffles each class's samples among themselves; the table is one
+    draw from ``default_rng(SeedSequence(seed).spawn(1)[0])``, per class in list
+    order one ``rng.permuted`` of its index column repeated per column (equal to,
+    and as fast as, the row layout).  A negative count or seed is a ConfigError."""
     check_integer("permutations", permutations)
     check_integer("seed", seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     perms = np.tile(np.arange(n)[:, None], (1, permutations))
-    for i in range(permutations):
-        rng = np.random.default_rng(seed + i)
-        for idx in classes:
-            perms[idx, i] = idx[rng.permutation(idx.shape[0])]
+    for idx in classes:
+        perms[idx] = rng.permuted(np.repeat(idx[:, None], permutations, axis=1), axis=0)
     return perms
 
 
@@ -185,13 +186,20 @@ def _moved_columns(low: np.ndarray, r: np.ndarray, v: np.ndarray, q: np.ndarray,
     psi = projected_solve(low, r, (v @ member)[:, None])[:, 0]
     cross = 2.0 * (psi @ qt[np.ix_(fixed, mov)])
     const = base - ridge * np.sum((psi @ qt[np.ix_(fixed, fixed)]) * psi)
-    q_mm, v_m = qt[np.ix_(mov, mov)], v[:, mov]
+    q_mm, v_t, rc, s = qt[np.ix_(mov, mov)], v[:, mov].T.copy(), r @ cross, mov.shape[0]
 
     def values_of(ps: np.ndarray) -> np.ndarray:
-        f = projected_solve(low, r, v_m[ps])
-        fq = np.matmul(f.transpose(1, 0, 2), q_mm)
-        fq += cross
-        return const - ridge * np.einsum("bni,nbi->b", fq, f)
+        # F_m = Phi - r u^T, Phi = L^{-1} V_m[pi], u = Phi^T r and |r| = 1, so F_m^T F_m
+        # = Phi^T Phi - u u^T and <F_m, cross> = <Phi, cross> - u . r^T cross.  The (s, b, n)
+        # gather is V_m[pi] in Fortran order, solved in place: phi[k, j] is Phi_j's column k
+        n, b = ps.shape
+        rhs = np.take(v_t, ps.T, axis=1).reshape(s * b, n).T
+        phi = scipy.linalg.solve_triangular(low, rhs, lower=True, check_finite=False,
+                                            overwrite_b=True).T.reshape(s, b, n)
+        u, grams = phi @ r, np.einsum("ibn,jbn->bij", phi, phi)
+        quad = (np.einsum("bij,ij->b", grams, q_mm) - np.einsum("ib,ij,jb->b", u, q_mm, u)
+                + np.einsum("kbk->b", (phi.reshape(s * b, n) @ cross).reshape(s, b, s)) - rc @ u)
+        return const - ridge * quad
     return values_of
 
 
@@ -317,8 +325,9 @@ def _grouped_report(kind: StatKind, x: np.ndarray, y: np.ndarray, z: np.ndarray,
 def nocco_from_features(x, z, epsilon: float, *, permutations: int = 0,
                         seed: int = 0) -> DependenceReport:
     """Plain statistic Tr(R_Z R_X) from raw (d, n) feature and domain blocks:
-    the conditional one with a constant label block.  Its null has one class,
-    so replicate i shuffles by ``default_rng(seed + i).permutation(n)``."""
+    the conditional one with a constant label block.  Its null has one class:
+    the table of n x ``permutations`` shuffles is one draw from the child
+    stream ``SeedSequence(seed).spawn(1)[0]``."""
     check_positive("epsilon", epsilon)
     x = as_block(x, "feature")
     n = x.shape[1]
@@ -355,8 +364,9 @@ def per_class_nocco_from_features(x, z, labels, epsilon: float, *, permutations:
 
     Bandwidths are fitted on the whole blocks.  A class is skipped (with a
     warning) when it has fewer than 2 samples or all its domain columns equal.
-    Replicate i shuffles within every kept class, drawing from
-    ``default_rng(seed + i)`` in ``np.unique`` order.
+    Replicate i shuffles within every kept class; the table is one draw from
+    the child stream ``SeedSequence(seed).spawn(1)[0]``, one class after
+    another in ``np.unique`` order.
     """
     check_positive("epsilon", epsilon)
     x = as_block(x, "feature")

@@ -105,6 +105,33 @@ def dense_normalized(k, epsilon):
     return np.eye(k.shape[0], dtype=np.longdouble) - dense_residual(k, epsilon)
 
 
+# the shuffle table
+
+
+def shuffle_table(classes, n, permutations, seed):
+    """(n, permutations) table whose column i shuffles each index array of
+    ``classes`` among itself: the documented stream, drawn one shuffle at a
+    time.  The generator is the first child that ``SeedSequence(seed)``
+    spawns (spawn key (0,)); classes in list order, and within a class
+    column 0 first, each column one ``Generator.shuffle`` of the class's
+    indices."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    table = np.tile(np.arange(n)[:, None], (1, permutations))
+    for idx in classes:
+        for i in range(permutations):
+            column = np.array(idx)
+            rng.shuffle(column)
+            table[idx, i] = column
+    return table
+
+
+def within_class_shuffles(labels, permutations, seed):
+    """The shuffle table of ``labels``' classes, in ``np.unique`` order."""
+    labels = np.asarray(labels)
+    classes = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+    return shuffle_table(classes, labels.shape[0], permutations, seed)
+
+
 # dense statistics and nulls
 
 
@@ -128,22 +155,35 @@ def dense_plain_null(kx, kz, epsilon, perms):
     return stat, reps, ties
 
 
+def dense_cond_null(kxt, kzt, ky, epsilon, perms):
+    """Dense conditional statistic and null: Tr(R_Zt S R_Xt S) with R_Zt
+    conjugated by each shuffle (which must fix K_Y), with whether that
+    shuffle leaves K_Zt unchanged entry for entry (an exact tie)."""
+    s = dense_residual(ky, epsilon)
+    rzt = dense_normalized(kzt, epsilon)
+    srs = s @ dense_normalized(kxt, epsilon) @ s
+    stat = float(np.sum(rzt * srs))
+    reps = np.array([float(np.sum(rzt[np.ix_(p, p)] * srs)) for p in perms])
+    ties = np.array([np.array_equal(kzt[np.ix_(p, p)], kzt) for p in perms], dtype=bool)
+    return stat, reps, ties
+
+
 def dense_per_class_null(kx, kz, labels, epsilon, permutations, seed):
-    """Dense per-class statistic and null: replicate i draws one permutation
-    per kept class, in ``np.unique`` order, from ``default_rng(seed + i)``;
-    a replicate ties when it ties in every class.  None if every class is
-    skipped."""
+    """Dense per-class statistic and null: replicate i is column i of the
+    shuffle table over the kept classes, in ``np.unique`` order; a replicate
+    ties when it ties in every class.  None if every class is skipped."""
     kept = [idx for idx in (np.flatnonzero(labels == c) for c in np.unique(labels))
             if idx.shape[0] >= 2 and np.ptp(kz[np.ix_(idx, idx)]) > 1e-15]
     if not kept:
         return None
-    rngs = [np.random.default_rng(seed + i) for i in range(permutations)]
+    table = shuffle_table(kept, labels.shape[0], permutations, seed)
     total = sum(idx.shape[0] for idx in kept)
     stat, reps, ties = 0.0, np.zeros(permutations), np.ones(permutations, dtype=bool)
     for idx in kept:
         block = np.ix_(idx, idx)
-        s, r, t = dense_plain_null(kx[block], kz[block], epsilon,
-                                   [rng.permutation(idx.shape[0]) for rng in rngs])
+        pos = np.empty(labels.shape[0], dtype=np.intp)
+        pos[idx] = np.arange(idx.shape[0])  # the class's own indices
+        s, r, t = dense_plain_null(kx[block], kz[block], epsilon, list(pos[table[idx]].T))
         stat += (idx.shape[0] / total) * s
         reps += (idx.shape[0] / total) * r
         ties &= t

@@ -280,12 +280,13 @@ def test_cond_values_matches_a_loop_over_the_slices(labels, stack):
 
 
 @pytest.mark.parametrize("shift, statistic, pvalue", [
-    (0.0, 0.09643238315677338, 0.5472636815920398),
+    (0.0, 0.09643238315677338, 0.5074626865671642),
     (1.0, 0.13517903768547623, 0.004975124378109453),
 ])
 def test_seeded_conditional_test_report_is_unchanged(shift, statistic, pvalue):
     # seeded reports of the permutation test, which shares cond_cells with the
-    # objective; the statistic may move by rounding across BLAS builds
+    # objective; the statistic may move by rounding across BLAS builds, and the
+    # p-values are those of the spawned shuffle stream
     x, y, z = chain_triple(120, 7, classes=3, domains=2, shift=shift, noise_sd=0.5)
     rep = cond_from_features(x, y, z, 120 ** -0.25, labels=y.argmax(axis=0),
                              permutations=200, seed=11)

@@ -4,6 +4,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,9 +32,12 @@ from condadapt.measures import (
 )
 from support import (
     centered,
+    dense_cond_null,
     dense_cond_statistic,
     dense_per_class_null,
     dense_plain_null,
+    shuffle_table,
+    within_class_shuffles,
 )
 
 
@@ -95,8 +99,7 @@ def test_nocco_permutation_shortcut_matches_brute_rebuild():
 
     stat = nocco_from_features(x, z, eps).statistic
     hits = 0
-    for i in range(40):
-        perm = np.random.default_rng(9 + i).permutation(60)
+    for perm in shuffle_table([np.arange(60)], 60, 40, 9).T:
         rep_stat = nocco_from_features(x, z[:, perm], eps).statistic
         if rep_stat >= stat:
             hits += 1
@@ -169,15 +172,6 @@ def test_cond_permutation_requires_labels():
         cond(k, k, k, 1e-3, permutations=10)
 
 
-def within_class_permutation(labels, seed):
-    gen = np.random.default_rng(seed)
-    perm = np.arange(labels.shape[0])
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
-        perm[idx] = idx[gen.permutation(idx.shape[0])]
-    return perm
-
-
 def test_cond_within_class_shortcut_matches_brute_rebuild():
     # dual route for the conditional null: class-preserving shuffles of the raw
     # domain indicators, with every Gram and normalization rebuilt per replicate
@@ -195,8 +189,7 @@ def test_cond_within_class_shortcut_matches_brute_rebuild():
 
     stat = cond(product_gram(kx, ky), product_gram(label_gram(z), ky), ky, eps).statistic
     hits = 0
-    for i in range(30):
-        perm = within_class_permutation(labels, 5 + i)
+    for perm in within_class_shuffles(labels, 30, 5).T:
         rep_stat = cond(product_gram(kx, ky), product_gram(label_gram(z[:, perm]), ky),
                         ky, eps).statistic
         if rep_stat >= stat:
@@ -249,8 +242,7 @@ def test_cond_cells_match_dense_oracle_and_brute_null(seed, n, y_kind, z_kind, e
     assert abs(rep.statistic - expected) <= 1e-11 * abs(expected) + 1e-15 / epsilon
 
     hits = 0
-    for i in range(permutations):
-        perm = within_class_permutation(labels, seed + i)
+    for perm in within_class_shuffles(labels, permutations, seed).T:
         rebuilt = cond(kxt, GramMatrix(kzt.entries[np.ix_(perm, perm)]), ky, epsilon)
         hits += rebuilt.statistic >= rep.statistic
     assert rep.permutation_pvalue == (1 + hits) / (1 + permutations)
@@ -494,15 +486,72 @@ def test_a_replicate_solves_the_cell_count_less_the_label_groups():
     # replicate solves 3 columns, not c - 1 = 5; the 2 group sums once
     x, y, z = chain_triple(120, 3, classes=3, domains=2, shift=1.0)
     widths = []
-    real = measures.projected_solve
+    real = scipy.linalg.solve_triangular
 
-    def spy(low, r, vs):
-        widths.append(vs.shape[1:])
-        return real(low, r, vs)
+    def spy(low, b, **kw):
+        if b.ndim == 2:  # not the factor's solve of the ones vector
+            widths.append(b.shape[1])
+        return real(low, b, **kw)
 
-    with patch.object(measures, "projected_solve", spy):
+    with patch.object(scipy.linalg, "solve_triangular", spy):
         cond_from_features(x, y, z, 1e-2, labels=y.argmax(axis=0), permutations=10)
-    assert widths == [(1, 2), (10, 3)]
+    # the statistic's c - 1 columns, the group sums, then 10 replicates of 3
+    assert widths == [5, 2, 10 * 3]
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 10_000), n=st.integers(10, 40),
+       layout=st.sampled_from(NULL_LAYOUTS[:-1]),  # the features route's layouts
+       epsilon=st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4]), permutations=st.integers(1, 30))
+def test_unprojected_replicates_match_the_dense_null(seed, n, layout, epsilon, permutations):
+    # the solve evaluator forms F^T F from the unprojected solve, G^T G - u u^T;
+    # each replicate must match the dense longdouble null of the same shuffle
+    # within the statistic's bound, and the p-value the dense one
+    rng = np.random.default_rng(seed)
+    x, labels, z = null_layout(layout, rng, n)
+    y = np.ones((1, n)) if layout == "one-group" else one_hot(labels, 3)
+    if layout == "soft-labels":  # one soft label column per class
+        y = rng.dirichlet(np.ones(3), size=3).T[:, labels]
+    calls = []
+    real = measures._null_core
+
+    def spy(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    with patch.object(measures, "_BINCOUNT_FLOPS", 10 ** 9), \
+            patch.object(measures, "_null_core", spy):
+        rep = cond_from_features(x, y, z, epsilon, labels=labels, permutations=permutations,
+                                 seed=seed)
+    [(_, values)] = calls
+    ky = label_gram(y).entries
+    kxt = gram(x, KernelConfig.from_data(x)).entries * ky
+    perms = list(within_class_shuffles(labels, permutations, seed).T)
+    stat, reps, ties = dense_cond_null(kxt, label_gram(z).entries * ky, ky, epsilon, perms)
+    assert np.all(np.abs(values - reps) <= 1e-11 * np.abs(reps) + 1e-15 / epsilon)
+    hits = np.count_nonzero((reps >= stat) | ties)
+    assert rep.permutation_pvalue == (1 + hits) / (1 + permutations)
+
+
+@pytest.mark.parametrize("classes", [1, 3])
+def test_shuffle_tables_of_neighbouring_seeds_share_no_column(classes):
+    # one spawned stream per seed: seed s + 1 does not replay seed s's
+    # replicates shifted by one
+    labels = np.arange(600) % classes
+    groups = [np.flatnonzero(labels == c) for c in range(classes)]
+    first, second = (measures._shuffles(groups, 600, 50, seed) for seed in (0, 1))
+    assert not np.any(np.all(first[:, :, None] == second[:, None, :], axis=0))
+
+
+@pytest.mark.parametrize("classes,n,permutations,seed", [
+    (1, 600, 50, 0), (3, 600, 200, 3), (4, 37, 9, np.int64(12)), (2, 10, 0, 5),
+])
+def test_shuffle_table_is_the_documented_spawned_stream(classes, n, permutations, seed):
+    labels = np.random.default_rng(7).integers(0, classes, size=n)
+    groups = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+    table = measures._shuffles(groups, n, permutations, seed)
+    assert np.array_equal(table, shuffle_table(groups, n, permutations, seed))
+    assert np.array_equal(table, within_class_shuffles(labels, permutations, seed))
 
 
 @pytest.mark.parametrize("route", ["features", "grams"])
@@ -656,7 +705,7 @@ def test_plain_and_per_class_nulls_match_the_dense_nulls(seed, n, z_kind, classe
             per_class = per_class_nocco_from_features(x, z, labels, epsilon,
                                                       permutations=permutations, seed=seed)
 
-    perms = [np.random.default_rng(seed + i).permutation(n) for i in range(permutations)]
+    perms = list(shuffle_table([np.arange(n)], n, permutations, seed).T)
     checks = [(plain, dense_plain_null(kx.entries, kz.entries, epsilon, perms))]
     if per_class is not None:
         checks.append((per_class, oracle))
@@ -670,14 +719,15 @@ def test_plain_and_per_class_nulls_match_the_dense_nulls(seed, n, z_kind, classe
 
 @pytest.mark.parametrize("shift, plain_stat, plain_p, per_class_stat, per_class_p", [
     (0.0, 0.03823376586956406, 0.004975124378109453, 0.0038541546472525795,
-     0.572139303482587),
+     0.5621890547263682),
     (2.0, 0.053363080459824075, 0.004975124378109453, 0.17494267159922008,
      0.004975124378109453),
 ])
 def test_seeded_plain_and_per_class_reports_are_unchanged(shift, plain_stat, plain_p,
                                                           per_class_stat, per_class_p):
-    # seeded reports of the plain and per-class tests as the Gram route gave
-    # them; the statistics may move by rounding across BLAS builds
+    # seeded reports of the plain and per-class tests: the statistics as the
+    # Gram route gave them, which may move by rounding across BLAS builds, and
+    # the p-values of the spawned shuffle stream
     x, y, z = chain_triple(120, 7, classes=3, domains=2, shift=shift, noise_sd=0.5)
     eps = 120 ** -0.25
     rep = nocco_from_features(x, z, eps, permutations=200, seed=11)
