@@ -19,6 +19,7 @@ import numpy as np
 from . import data as data_mod
 from . import measures
 from .errors import ConfigError, DegenerateDataError, InputError, NumericalError, ParseError
+from .kernels import check_integer
 from .model import forward_pass, save_params
 from .trainer import TrainConfig, fit, init_params_for, pretrain, target_accuracy
 
@@ -143,7 +144,9 @@ def _cmd_measure(args, parser) -> dict:
     if ds.target_truth is not None:
         labels_s = ds.source_labels.argmax(axis=0)
         labels_t = ds.target_truth.argmax(axis=0)
-    rep = measures.a_distance(ds.source_features, ds.target, split_seed=args.seed,
+    check_integer("seed", args.seed)  # the split draws from the seed's spawned child
+    split_seed = int(np.random.SeedSequence(args.seed).spawn(1)[0].generate_state(1)[0])
+    rep = measures.a_distance(ds.source_features, ds.target, split_seed=split_seed,
                               labels_s=labels_s, labels_t=labels_t)
     out = {"kind": "a-distance", "d_a": rep.d_a,
            "classifier_test_error": rep.classifier_test_error}

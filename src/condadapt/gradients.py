@@ -22,14 +22,12 @@ B = (K_Xt + ne I)^{-1} = L^{-T} L^{-1} and r = L^{-1} 1 / |L^{-1} 1|,
 
     F = (I - r r^T) L^{-1} V,  P = L^{-T} F = BV - (B1)(1^T BV) / (1^T B1).
 
-``regularized_factor`` gives L, factoring the exactly symmetric K_Xt it
-is given in place as its Fortran-ordered transpose, and r;
-``projected_solve`` gives F and ``cond_values`` the values for each
-(n, c - 1) slice of an (n, b, c - 1) stack of V's.  The permutation null
-solves only s = c - G of those columns per replicate: its shuffles keep
-each sample in its label group (cells with one label column, G of them), so
-each group's column sum is fixed.  The value and
-the chain to the features are
+``regularized_factor`` gives L, factoring the exactly symmetric K_Xt it is
+given in place as its Fortran-ordered transpose, and r; ``projected_solve``
+gives F and ``cond_values`` the value.  The permutation null solves only
+s = c - G of V's columns per replicate: its shuffles keep each sample in its
+label group (cells with one label column, G of them), so each group's column
+sum is fixed.  The value and the chain to the features are
 
     L         = Tr(Q W) - ne * sum(F Q * F)      (elementwise)
     dL/dK_Xt  = ne * P Q P^T
@@ -175,22 +173,18 @@ def regularized_factor(kxt: np.ndarray, ridge: float) -> tuple[np.ndarray, np.nd
     return low, r / np.linalg.norm(r)
 
 
-def projected_solve(low: np.ndarray, r: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    f = scipy.linalg.solve_triangular(low, vs.reshape(vs.shape[0], -1), lower=True,
-                                      check_finite=False).reshape(vs.shape)
-    t = np.einsum("n,nbi->bi", r, f)
-    for rows in row_blocks(f.shape[0], t.size):  # no second (n, b, s) array
-        f[rows] -= r[rows, None, None] * t
+def projected_solve(low: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    f = scipy.linalg.solve_triangular(low, v, lower=True, check_finite=False)
+    t = np.einsum("n,ni->i", r, f)
+    for rows in row_blocks(f.shape[0], t.size):  # no second F, n x n when c = n
+        f[rows] -= r[rows, None] * t
     return f
 
 
-def cond_values(low: np.ndarray, r: np.ndarray, vs: np.ndarray, q: np.ndarray,
-                w: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
-    f = projected_solve(low, r, vs)
-    # one product per slice over its n rows, on f's own strides: f @ q on the
-    # (n, b, c - 1) stack would run n small ones, a 2-D reshape would copy f
-    fq = np.matmul(f.transpose(1, 0, 2), q)
-    return np.sum(q * w) - ridge * np.einsum("bni,nbi->b", fq, f), f
+def cond_values(low: np.ndarray, r: np.ndarray, v: np.ndarray, q: np.ndarray,
+                w: np.ndarray, ridge: float) -> tuple[float, np.ndarray]:
+    f = projected_solve(low, r, v)
+    return float(np.sum(q * w) - ridge * np.einsum("ni,ni->", f @ q, f)), f
 
 
 def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
@@ -218,13 +212,12 @@ def cond_objective(xre, y, z, cfgs: CondKernelConfig | None,
     ridge = n * epsilon
     v, w, q, _ = cell_terms(cell, my, mzt, ridge)
     low, r = regularized_factor(kxt.copy(), ridge)  # E reads K_Xt below
-    values, f = cond_values(low, r, v[:, None], q, w, ridge)
-    p = scipy.linalg.solve_triangular(low, f[:, 0], trans="T", lower=True,
-                                      check_finite=False)
+    value, f = cond_values(low, r, v, q, w, ridge)
+    p = scipy.linalg.solve_triangular(low, f, trans="T", lower=True, check_finite=False)
     # E reuses the factor's buffer, a C-ordered copy of K_Xt
     e = np.matmul(p @ (ridge * q), p.T, out=low.T)
     e *= kxt
     grad = (4.0 / cfgs.x.bandwidth_sq) * (xre @ e - xre * e.sum(axis=1)[None, :])
     if not np.all(np.isfinite(grad)):
         raise NumericalError("gradient assembly produced non-finite entries")
-    return float(values[0]), grad
+    return value, grad

@@ -183,7 +183,7 @@ def _moved_columns(low: np.ndarray, r: np.ndarray, v: np.ndarray, q: np.ndarray,
     t[:, fixed] = 2.0 * t[:, fixed] - member
     qt = t @ q @ t.T
     mov = np.delete(np.arange(q.shape[0]), fixed)
-    psi = projected_solve(low, r, (v @ member)[:, None])[:, 0]
+    psi = projected_solve(low, r, v @ member)
     cross = 2.0 * (psi @ qt[np.ix_(fixed, mov)])
     const = base - ridge * np.sum((psi @ qt[np.ix_(fixed, fixed)]) * psi)
     q_mm, v_t, rc, s = qt[np.ix_(mov, mov)], v[:, mov].T.copy(), r @ cross, mov.shape[0]
@@ -214,7 +214,7 @@ def _null_core(kxt: np.ndarray, cell: np.ndarray, group: np.ndarray, my: np.ndar
     ridge = n * epsilon
     v, w, q, keep = cell_terms(cell, my, mzt, ridge)
     low, r = regularized_factor(kxt, ridge)
-    stat = float(cond_values(low, r, v[:, None], q, w, ridge)[0][0])  # the objective's call
+    stat = cond_values(low, r, v, q, w, ridge)[0]  # the objective's call
     # a shuffle that keeps every sample in its cell fixes K_Zt: a tie
     moved = np.flatnonzero(np.any(cell[perms] != cell[:, None], axis=0))
     m = moved.shape[0]

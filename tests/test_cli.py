@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from condadapt import cli, data
+from condadapt import cli, data, measures
 from condadapt.cli import main
 from condadapt.data import (AdaptationDataset, SyntheticKind, SyntheticSpec,
                             make_shifted_blobs, save_features)
@@ -116,6 +116,24 @@ def test_measure_mmd_and_a_distance_reports(capsys):
     assert res["kind"] == "a-distance"
     assert 0 <= res["d_a"] <= 2
     assert len(res["per_class"]) == 2
+
+
+def test_a_distance_splits_with_the_seeds_spawned_child(capsys):
+    # --seed also seeds the data's default_rng(seed), so the split takes the
+    # first word of the child SeedSequence(seed).spawn(1)[0] instead
+    argv = ["measure", "--synthetic", "shifted-blobs", "--classes", "2", "--per-class", "30",
+            "--shift", "1", "--seed", "1", "--stat", "a-distance"]
+    rc, rep, err = run(capsys, argv)
+    assert rc == 0, err
+    ds = cli._dataset_from_args(cli.build_parser().parse_args(argv), 1)
+    split_seed = int(np.random.SeedSequence(1).spawn(1)[0].generate_state(1)[0])
+    want = measures.a_distance(ds.source_features, ds.target, split_seed=split_seed,
+                               labels_s=ds.source_labels.argmax(axis=0),
+                               labels_t=ds.target_truth.argmax(axis=0))
+    res = rep["results"]
+    assert res["d_a"] == want.d_a
+    assert res["classifier_test_error"] == want.classifier_test_error
+    assert res["per_class"] == [[c, v] for c, v in want.per_class]
 
 
 CHAIN_TINY = ["--per-class", "10", "--pretrain-epochs", "5", "--adapt-epochs", "2",

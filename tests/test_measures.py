@@ -473,8 +473,8 @@ def test_moved_columns_give_the_full_solve_replicates(seed, n, layout, epsilon,
             "soft-labels": np.unique(group).shape[0] == np.unique(y, axis=1).shape[1],
             "grams": True}[layout]
     low, r = regularized_factor(kxt, ridge)
-    assert stat == rep.statistic == cond_values(low, r, v[:, None], q, w, ridge)[0][0]
-    full = cond_values(low, r, v[perms], q, w, ridge)[0]
+    assert stat == rep.statistic == cond_values(low, r, v, q, w, ridge)[0]
+    full = np.array([cond_values(low, r, v[perm], q, w, ridge)[0] for perm in perms.T])
     assert np.all(np.abs(values - full) <= 1e-12 * max(abs(stat), np.sum(q * w)))
     # an exact tie is the statistic's value on both paths
     full[values == stat] = stat
